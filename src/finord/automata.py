@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from operator import add, and_, eq, le, or_
 
 from .model import ResourceLimitError
 from .upsets import UPSet
@@ -60,9 +61,8 @@ class Dfa:
         for row in self.transitions:
             if len(row) != size:
                 raise ValueError("transition rows must cover the alphabet")
-            for target in row:
-                if not 0 <= target < n:
-                    raise ValueError("transition target out of range")
+            if min(row) < 0 or max(row) >= n:
+                raise ValueError("transition target out of range")
         if not 0 <= self.initial < n:
             raise ValueError("initial state out of range")
         if not all(0 <= s < n for s in self.accepting):
@@ -75,9 +75,6 @@ class Dfa:
     @property
     def n_states(self) -> int:
         return len(self.transitions)
-
-    def step(self, state: int, letter: int) -> int:
-        return self.transitions[state][letter]
 
     def accepts(self, word) -> bool:
         state = self.initial
@@ -105,53 +102,53 @@ def cylindrify(a: Dfa, tracks) -> Dfa:
         for j, pos in enumerate(positions):
             old |= ((letter >> pos) & 1) << j
         lookup[letter] = old
-    rows = tuple(tuple(row[lookup[letter]] for letter in range(1 << width))
+    rows = tuple(tuple(map(row.__getitem__, lookup))
                  for row in a.transitions)
     return Dfa(tracks, rows, a.accepting, a.initial)
 
 
 def _product_reachable(a: Dfa, b: Dfa, cap: int):
-    """BFS over the synchronous product; returns (pairs in discovery order,
-    index map, transition rows)."""
+    """BFS over the synchronous product; returns (pair codes s*|B|+t in
+    state order, transition rows)."""
     if a.tracks != b.tracks:
         raise ValueError("product requires identical track lists")
-    size = 1 << a.width
-    start = (a.initial, b.initial)
+    nb = b.n_states
+    start = a.initial * nb + b.initial
     index = {start: 0}
     order = [start]
     rows: list[tuple[int, ...]] = []
-    frontier = 0
-    while frontier < len(order):
-        s, t = order[frontier]
-        frontier += 1
-        row = []
-        for letter in range(size):
-            nxt = (a.transitions[s][letter], b.transitions[t][letter])
-            at = index.get(nxt)
-            if at is None:
-                at = len(order)
-                if at >= cap:
-                    raise ResourceLimitError(
-                        f"product exceeds state cap {cap}")
-                index[nxt] = at
-                order.append(nxt)
-            row.append(at)
-        rows.append(tuple(row))
+    for code in order:
+        s, t = divmod(code, nb)
+        codes = list(map(add, map(nb.__mul__, a.transitions[s]),
+                         b.transitions[t]))
+        for new in set(codes).difference(index):
+            index[new] = len(order)
+            order.append(new)
+        if len(order) > cap:
+            raise ResourceLimitError(
+                f"product exceeds state cap {cap} (operands of "
+                f"{a.n_states} and {nb} states, {a.width} tracks)")
+        rows.append(tuple(map(index.__getitem__, codes)))
     return order, rows
 
 
+_OPS = {"and": and_, "or": or_, "implies": le, "iff": eq}
+
+
 def combine(a: Dfa, b: Dfa, op: str, *, cap: int | None = None) -> Dfa:
-    """Language intersection ("and") or union ("or"), over the unified
-    track list, minimized."""
-    if op not in ("and", "or"):
-        raise ValueError('op must be "and" or "or"')
+    """The Boolean connective op ("and", "or", "implies" or "iff") of two
+    languages as one product over the unified track list, minimized."""
+    if op not in _OPS:
+        raise ValueError('op must be "and", "or", "implies" or "iff"')
+    keep = _OPS[op]
     cap = effective_state_cap(cap)
     tracks = tuple(sorted(set(a.tracks) | set(b.tracks)))
     a2, b2 = cylindrify(a, tracks), cylindrify(b, tracks)
     order, rows = _product_reachable(a2, b2, cap)
-    keep = (all if op == "and" else any)
-    accepting = frozenset(i for i, (s, t) in enumerate(order)
-                          if keep((s in a2.accepting, t in b2.accepting)))
+    nb = b2.n_states
+    accepting = frozenset(i for i, code in enumerate(order)
+                          if keep(code // nb in a2.accepting,
+                                  code % nb in b2.accepting))
     return minimize(Dfa(tracks, tuple(rows), accepting, 0))
 
 
@@ -163,44 +160,44 @@ def complement(a: Dfa) -> Dfa:
 
 def project(a: Dfa, track: str, *, cap: int | None = None) -> Dfa:
     """Erase one track existentially: accept a word when some assignment of
-    the erased bits is accepted; subset construction, then minimized."""
+    the erased bits is accepted; subset construction over state bitmasks,
+    then minimized."""
     if track not in a.tracks:
         raise ValueError(f"no track named {track}")
     cap = effective_state_cap(cap)
     pos = a.tracks.index(track)
     rest = tuple(t for t in a.tracks if t != track)
-    width = len(rest)
-    lifts = []
-    for letter in range(1 << width):
-        low = letter & ((1 << pos) - 1)
-        high = (letter >> pos) << (pos + 1)
-        base = high | low
-        lifts.append((base, base | (1 << pos)))
-    start = frozenset([a.initial])
+    zeros = [((letter >> pos) << (pos + 1)) | (letter & ((1 << pos) - 1))
+             for letter in range(1 << len(rest))]
+    ones = [base | (1 << pos) for base in zeros]
+    bits = [1 << s for s in range(a.n_states)]
+    # succ[s][letter]: mask of the states s reaches on either lift of letter
+    succ = [list(map(or_, map(bits.__getitem__, map(row.__getitem__, zeros)),
+                     map(bits.__getitem__, map(row.__getitem__, ones))))
+            for row in a.transitions]
+    start = bits[a.initial]
     index = {start: 0}
     order = [start]
     rows: list[tuple[int, ...]] = []
-    frontier = 0
-    while frontier < len(order):
-        subset = order[frontier]
-        frontier += 1
-        row = []
-        for letter in range(1 << width):
-            zero, one = lifts[letter]
-            nxt = frozenset(a.transitions[s][zero] for s in subset) \
-                | frozenset(a.transitions[s][one] for s in subset)
-            at = index.get(nxt)
-            if at is None:
-                at = len(order)
-                if at >= cap:
-                    raise ResourceLimitError(
-                        f"projection exceeds state cap {cap}")
-                index[nxt] = at
-                order.append(nxt)
-            row.append(at)
-        rows.append(tuple(row))
+    for subset in order:
+        low = subset & -subset
+        masks = succ[low.bit_length() - 1]
+        subset ^= low
+        while subset:
+            low = subset & -subset
+            masks = list(map(or_, masks, succ[low.bit_length() - 1]))
+            subset ^= low
+        for new in set(masks).difference(index):
+            index[new] = len(order)
+            order.append(new)
+        if len(order) > cap:
+            raise ResourceLimitError(
+                f"projection exceeds state cap {cap} (operand of "
+                f"{a.n_states} states, {a.width} tracks)")
+        rows.append(tuple(map(index.__getitem__, masks)))
+    acc_mask = sum(bits[s] for s in a.accepting)
     accepting = frozenset(i for i, subset in enumerate(order)
-                          if subset & a.accepting)
+                          if subset & acc_mask)
     return minimize(Dfa(rest, tuple(rows), accepting, 0))
 
 
@@ -208,33 +205,27 @@ def minimize(a: Dfa) -> Dfa:
     """Language-minimal DFA with states renumbered in breadth-first
     discovery order (letters ascending), so equal languages over equal
     tracks yield structurally equal automata."""
-    size = 1 << a.width
+    trans = a.transitions
     # reachable pruning
     reach = [a.initial]
     seen = {a.initial}
     for s in reach:
-        for letter in range(size):
-            t = a.transitions[s][letter]
-            if t not in seen:
-                seen.add(t)
-                reach.append(t)
-    # Moore partition refinement
-    cls = {s: (1 if s in a.accepting else 0) for s in reach}
+        for t in set(trans[s]).difference(seen):
+            seen.add(t)
+            reach.append(t)
+    # Moore partition refinement; cls[s] is the class of state s
+    cls = [1 if s in a.accepting else 0 for s in range(len(trans))]
+    count = len({cls[s] for s in reach})
     while True:
         signatures: dict[tuple, int] = {}
-        nxt = {}
+        nxt = cls[:]
         for s in reach:
-            sig = (cls[s],) + tuple(cls[a.transitions[s][letter]]
-                                    for letter in range(size))
-            at = signatures.get(sig)
-            if at is None:
-                at = len(signatures)
-                signatures[sig] = at
-            nxt[s] = at
-        if len(signatures) == len(set(cls.values())):
-            cls = nxt
-            break
+            sig = (cls[s], *map(cls.__getitem__, trans[s]))
+            nxt[s] = signatures.setdefault(sig, len(signatures))
         cls = nxt
+        if len(signatures) == count:
+            break
+        count = len(signatures)
     # canonical renumbering by BFS over classes
     rep: dict[int, int] = {}
     for s in reach:
@@ -242,16 +233,13 @@ def minimize(a: Dfa) -> Dfa:
     renum = {cls[a.initial]: 0}
     order = [cls[a.initial]]
     for c in order:
-        s = rep[c]
-        for letter in range(size):
-            t = cls[a.transitions[s][letter]]
+        for t in map(cls.__getitem__, trans[rep[c]]):
             if t not in renum:
                 renum[t] = len(order)
                 order.append(t)
-    rows = tuple(tuple(renum[cls[a.transitions[rep[c]][letter]]]
-                       for letter in range(size))
-                 for c in order)
-    accepting = frozenset(renum[cls[s]] for s in reach if s in a.accepting)
+    label = {s: renum[cls[s]] for s in reach}
+    rows = tuple(tuple(map(label.__getitem__, trans[rep[c]])) for c in order)
+    accepting = frozenset(label[s] for s in reach if s in a.accepting)
     return Dfa(a.tracks, rows, accepting, 0)
 
 
@@ -262,8 +250,9 @@ def equivalent(a: Dfa, b: Dfa, *, cap: int | None = None) -> bool:
     tracks = tuple(sorted(set(a.tracks) | set(b.tracks)))
     a2, b2 = cylindrify(a, tracks), cylindrify(b, tracks)
     order, _rows = _product_reachable(a2, b2, cap)
-    return all((s in a2.accepting) == (t in b2.accepting)
-               for s, t in order)
+    nb = b2.n_states
+    return all((code // nb in a2.accepting) == (code % nb in b2.accepting)
+               for code in order)
 
 
 def concat(a: Dfa, b: Dfa, *, cap: int | None = None) -> Dfa:

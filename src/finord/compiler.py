@@ -2,26 +2,32 @@
 
 A word of length n over {0,1}^w stands for the n-atom order together with
 one subset of positions per track.  Compilation is structural: atomic
-formulas get small hand-built automata, connectives map to the Boolean
-automaton operations, and a set quantifier projects its variable's track
-away (universal quantification via double complement).  For a sentence the
+formulas get small hand-built automata, every binary connective is one
+product (``automata.combine``), and a set quantifier projects its
+variable's track away (universal quantification via double complement).
+Before compiling, quantifiers are miniscoped: a universal is pushed through
+the conjuncts of its body and an existential through the disjuncts, so each
+projection works on an automaton with fewer tracks.  For a sentence the
 result has no tracks, and its accepted lengths — extracted from the unary
 transition lasso — are exactly the model sizes satisfying the sentence.
 """
 
 from __future__ import annotations
 
+from functools import cache
+
 from . import automata as au
 from .automata import Dfa, effective_state_cap
 from .formula.nodes import (And, At, Bot, Eq, ExistsSet, Exle, FalseF,
                             ForallSet, Formula, Iff, Implies, Not, Or,
-                            SetVar, Subset, Term, TrueF, check_sorts,
-                            fresh_names, is_sentence, rebuild, subformulas,
-                            substitute_term, terms_of)
+                            SetVar, Subset, TrueF, check_sorts, fresh_names,
+                            is_sentence, rebuild, subformulas, terms_of)
+from .formula.builders import conj, disj
 from .formula.sugar import desugar, is_desugared
 from .upsets import UPSet
 
 _ATOMIC = (Eq, Subset, Exle, At)
+_CONNECTIVES = {And: "and", Or: "or", Implies: "implies", Iff: "iff"}
 
 
 def base_automaton(atomic: Formula) -> Dfa:
@@ -34,31 +40,41 @@ def base_automaton(atomic: Formula) -> Dfa:
         if not isinstance(t, (SetVar, Bot)):
             raise ValueError(f"unsupported term in atomic formula: {t!r}")
     tracks = tuple(sorted({t.name for t in terms if isinstance(t, SetVar)}))
+    shape = _shape_automaton(type(atomic), tuple(
+        tracks.index(t.name) if isinstance(t, SetVar) else None
+        for t in terms))
+    return Dfa(tracks, shape.transitions, shape.accepting)
 
-    def bit(term: Term):
-        if isinstance(term, Bot):
+
+@cache
+def _shape_automaton(kind: type, positions: tuple) -> Dfa:
+    """The automaton of an atomic relation whose i-th term reads track
+    number positions[i] (None for bot), over placeholder track names; the
+    few shapes are built once and relabelled by ``base_automaton``."""
+    tracks = tuple(f"T{j}" for j in range(len(set(positions) - {None})))
+
+    def bit(pos):
+        if pos is None:
             return lambda letter: 0
-        j = tracks.index(term.name)
-        return lambda letter: (letter >> j) & 1
+        return lambda letter: (letter >> pos) & 1
 
     size = 1 << len(tracks)
-    if isinstance(atomic, At):
-        x = bit(atomic.arg)
+    if kind is At:
+        x = bit(positions[0])
         # 0 = no member yet, 1 = exactly one (accept), 2 = too many
         rows = (tuple(1 if x(l) else 0 for l in range(size)),
                 tuple(2 if x(l) else 1 for l in range(size)),
                 tuple(2 for _ in range(size)))
         return au.minimize(Dfa(tracks, rows, frozenset([1])))
-    if isinstance(atomic, Exle):
-        x, y = bit(atomic.left), bit(atomic.right)
+    x, y = bit(positions[0]), bit(positions[1])
+    if kind is Exle:
         # 0 = left side still empty, 1 = left member seen, 2 = accept;
         # a shared position never accepts (the underlying order is strict)
         rows = (tuple(1 if x(l) else 0 for l in range(size)),
                 tuple(2 if y(l) else 1 for l in range(size)),
                 tuple(2 for _ in range(size)))
         return au.minimize(Dfa(tracks, rows, frozenset([2])))
-    x, y = bit(atomic.left), bit(atomic.right)
-    if isinstance(atomic, Eq):
+    if kind is Eq:
         ok = [x(l) == y(l) for l in range(size)]
     else:  # Subset
         ok = [x(l) <= y(l) for l in range(size)]
@@ -77,7 +93,7 @@ def compile(f: Formula, *, cap: int | None = None) -> Dfa:
     key = (f, cap)
     cached = _COMPILE_CACHE.get(key)
     if cached is None:
-        cached = _compile(_alpha_rename(f), cap)
+        cached = _compile(_alpha_rename(_miniscope(f)), cap)
         _COMPILE_CACHE[key] = cached
     return cached
 
@@ -115,22 +131,10 @@ def _compile(f: Formula, cap: int) -> Dfa:
         return base_automaton(f)
     if isinstance(f, Not):
         return au.complement(_compile(f.body, cap))
-    if isinstance(f, And):
-        return au.combine(_compile(f.left, cap), _compile(f.right, cap),
-                          "and", cap=cap)
-    if isinstance(f, Or):
-        return au.combine(_compile(f.left, cap), _compile(f.right, cap),
-                          "or", cap=cap)
-    if isinstance(f, Implies):
-        return au.combine(au.complement(_compile(f.left, cap)),
-                          _compile(f.right, cap), "or", cap=cap)
-    if isinstance(f, Iff):
-        a = _compile(f.left, cap)
-        b = _compile(f.right, cap)
-        both = au.combine(a, b, "and", cap=cap)
-        neither = au.combine(au.complement(a), au.complement(b), "and",
-                             cap=cap)
-        return au.combine(both, neither, "or", cap=cap)
+    op = _CONNECTIVES.get(type(f))
+    if op is not None:
+        return au.combine(_compile(f.left, cap), _compile(f.right, cap), op,
+                          cap=cap)
     if isinstance(f, ExistsSet):
         body = _compile(f.body, cap)
         if f.var in body.tracks:
@@ -142,6 +146,38 @@ def _compile(f: Formula, cap: int) -> Dfa:
             body = au.project(body, f.var, cap=cap)
         return au.complement(body)
     raise ValueError(f"cannot compile node {type(f).__name__}")
+
+
+def _miniscope(f: Formula) -> Formula:
+    """Push every set quantifier as far in as it distributes: a universal
+    over the conjuncts of its body (through an implication's consequent
+    too), an existential over the disjuncts.  Sound for every model size:
+    even n = 0 has one subset to range over, so a quantifier left without
+    its variable in a conjunct still means its body."""
+    if isinstance(f, ForallSet):
+        return conj([ForallSet(f.var, g)
+                     for g in _conjuncts(_miniscope(f.body))])
+    if isinstance(f, ExistsSet):
+        return disj([ExistsSet(f.var, g)
+                     for g in _disjuncts(_miniscope(f.body))])
+    kids = subformulas(f)
+    if kids:
+        return rebuild(f, tuple(_miniscope(k) for k in kids))
+    return f
+
+
+def _conjuncts(f: Formula) -> list[Formula]:
+    if isinstance(f, And):
+        return _conjuncts(f.left) + _conjuncts(f.right)
+    if isinstance(f, Implies):
+        return [Implies(f.left, g) for g in _conjuncts(f.right)]
+    return [f]
+
+
+def _disjuncts(f: Formula) -> list[Formula]:
+    if isinstance(f, Or):
+        return _disjuncts(f.left) + _disjuncts(f.right)
+    return [f]
 
 
 def _alpha_rename(f: Formula) -> Formula:
@@ -157,8 +193,10 @@ def _alpha_rename(f: Formula) -> Formula:
         kids = subformulas(g)
         if kids:
             return rebuild(g, tuple(go(k, env) for k in kids))
-        for old, new in env.items():
-            g = substitute_term(g, SetVar(old), SetVar(new))
-        return g
+        if not env or not isinstance(g, _ATOMIC):
+            return g
+        return type(g)(*(SetVar(env[t.name])
+                         if isinstance(t, SetVar) and t.name in env else t
+                         for t in terms_of(g)))
 
     return go(f, {})

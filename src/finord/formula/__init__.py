@@ -6,7 +6,7 @@ from .nodes import (AtomVar, BOT, Bot, Eq, Exle, ExistsAtom, ExistsSet, FALSE,
                     Subset, Term, TRUE, TrueF, all_identifiers, check_sorts,
                     free_set_vars, free_vars, is_sentence, quantifier_depths,
                     sort_errors, subformulas, substitute_term, terms_of)
-from .parser import ParseError, format_formula, parse, print_formula
+from .parser import ParseError, format_formula, parse
 from .sugar import (desugar, is_desugared, relativize, relativize_below_atom,
                     relativize_to_element)
 from .builders import (base_axioms, build_comp, build_psi, build_rho,

@@ -221,9 +221,6 @@ def format_formula(f: Formula) -> str:
     return _fmt(f, 0)
 
 
-print_formula = format_formula
-
-
 def _fmt(f: Formula, level: int) -> str:
     if isinstance(f, TrueF):
         return "true"

@@ -62,6 +62,12 @@ def test_accepts_and_combine():
     assert not both.accepts([0, 1])
     either = combine(all_x(), some_x(), "or")
     assert either.accepts([]) and either.accepts([0, 1])
+    implied = combine(some_x(), all_x(), "implies")
+    assert implied.accepts([]) and implied.accepts([1, 1])
+    assert not implied.accepts([0, 1])
+    same = combine(all_x(), some_x(), "iff")
+    assert same.accepts([1]) and same.accepts([0])
+    assert not same.accepts([]) and not same.accepts([0, 1])
     with pytest.raises(ValueError):
         combine(all_x(), some_x(), "xor")
 
@@ -77,6 +83,27 @@ def test_complement_and_de_morgan_on_random_dfas():
         rhs = combine(complement(a), complement(b), "or")
         assert equivalent(lhs, rhs)
         assert equivalent(a, minimize(a))
+        assert equivalent(combine(a, b, "implies"),
+                          combine(complement(a), b, "or"))
+        assert equivalent(combine(a, b, "iff"),
+                          combine(combine(a, b, "and"),
+                                  combine(complement(a), complement(b),
+                                          "and"), "or"))
+
+
+def test_combine_vs_word_oracle():
+    rng = random.Random(19)
+    ops = {"and": lambda p, q: p and q, "or": lambda p, q: p or q,
+           "implies": lambda p, q: not p or q, "iff": lambda p, q: p == q}
+    for _ in range(25):
+        tracks = ((), ("X",), ("X", "Y"))[rng.randrange(3)]
+        a = _random_dfa(rng, tracks)
+        b = _random_dfa(rng, tracks)
+        for op, want in ops.items():
+            c = combine(a, b, op)
+            for word in _words(len(tracks), 3):
+                assert c.accepts(word) == want(a.accepts(word),
+                                               b.accepts(word))
 
 
 def test_minimize_idempotent_and_canonical():
@@ -188,6 +215,14 @@ def test_state_cap():
         combine(all_x(), some_x(), "and", cap=1)
     with pytest.raises(ResourceLimitError):
         project(all_x(), "X", cap=1)
+
+
+def test_state_cap_message_names_stage_and_width():
+    wide = cylindrify(some_x(), ("X", "Y", "Z"))
+    with pytest.raises(ResourceLimitError, match=r"product .* 3 tracks"):
+        combine(wide, all_x(), "or", cap=1)
+    with pytest.raises(ResourceLimitError, match=r"projection .* 3 tracks"):
+        project(wide, "Y", cap=1)
 
 
 def test_state_cap_env_override(monkeypatch):

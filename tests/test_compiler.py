@@ -4,14 +4,16 @@ import random
 
 import pytest
 
-from finord import (And, At, Bot, Dfa, Eq, ExistsSet, Exle, FalseF, Iff,
-                    Implies, Mem, Not, Or, ResourceLimitError, SetVar,
-                    Subset, TrueF, UPSet, base_automaton, build_psi,
+from finord import (And, At, Bot, Dfa, Eq, ExistsSet, Exle, FalseF,
+                    ForallSet, Iff, Implies, Mem, Not, Or, ResourceLimitError,
+                    SetVar, Subset, TrueF, UPSet, base_automaton, build_psi,
                     build_rho, clear_caches, compile, cylindrify, desugar,
-                    equivalent, evaluate, parse, project, same_set, spectrum)
+                    effective_state_cap, equivalent, evaluate, parse,
+                    project, same_set, spectrum)
+from finord.compiler import _alpha_rename, _compile, _miniscope
 from finord.model import FiniteModel
 
-from corpus import CORPUS_BY_NAME
+from corpus import CORPUS, CORPUS_BY_NAME
 
 
 def _word_env(word, tracks):
@@ -197,3 +199,49 @@ def test_cylindrify_compile_consistency():
     wide = cylindrify(compile(f), ("X", "Y"))
     g = And(f, Or(Subset(SetVar("Y"), SetVar("Y")), TrueF()))
     assert equivalent(wide, compile(g))
+
+
+def _unscoped(f):
+    """The automaton of a desugared formula compiled without miniscoping."""
+    return _compile(_alpha_rename(f), effective_state_cap())
+
+
+def test_miniscope_keeps_automata():
+    for _name, f in CORPUS:
+        g = desugar(f)
+        assert compile(g) == _unscoped(g)
+    rng = random.Random(4242)
+    for _ in range(80):
+        scope = ((), ("X",), ("X", "Y"))[rng.randrange(3)]
+        f = _random_desugared(rng, scope or ("X",), rng.randrange(1, 5))
+        assert compile(f) == _unscoped(f)
+
+
+def test_miniscope_splits_nested_guards():
+    x, y = SetVar("X"), SetVar("Y")
+
+    def guarded(body):
+        return ForallSet("X", Implies(At(x), ForallSet("Y", Implies(
+            At(y), body))))
+
+    a, b, c = Subset(x, y), Exle(x, y), Not(Eq(y, Bot()))
+    f = guarded(And(And(a, b), c))
+    assert _miniscope(f) == And(And(guarded(a), guarded(b)), guarded(c))
+    assert compile(f) == _unscoped(f)
+    # X = Y at one atom breaks X << Y, so only the empty order satisfies f
+    assert spectrum(f) == UPSet.from_finite([0])
+
+
+def test_miniscope_spectrum_at_zero():
+    x = SetVar("X")
+    # true only on the empty order: no atom X is below itself
+    only_empty = ForallSet("X", Implies(At(x), And(Eq(x, x), Exle(x, x))))
+    # true everywhere: X = bot is a witness even when n = 0
+    anywhere = ExistsSet("X", Or(At(x), Eq(x, Bot())))
+    for f, want in ((only_empty, UPSet.from_finite([0])),
+                    (anywhere, UPSet.naturals())):
+        assert _miniscope(f) != f
+        assert compile(f) == _unscoped(f)
+        assert spectrum(f) == want
+        for n in range(4):
+            assert want.member(n) == evaluate(FiniteModel(n), f, {})
