@@ -16,8 +16,8 @@ from .completions import (UNDETERMINED, Fin, Inf, ResidueSpec, Table,
                           format_point, parse_point, point_models, point_mul,
                           pseudofinite_valid, rep, residue_extend,
                           satisfiable_witness, validate)
-from .efgame import (DUPLICATOR, SPOILER, GameState, atomic_agreement,
-                     ef_equiv, ef_winner)
+from .efgame import (DUPLICATOR, SPOILER, atomic_agreement, ef_equiv,
+                     ef_winner)
 from .formula.builders import (base_axioms, build_comp, build_psi, build_rho,
                                build_sum, comp_samples, conj, disj,
                                induction_samples, reconstruct, succ_formula)
@@ -42,7 +42,7 @@ __all__ = [
     "DEFAULT_STATE_CAP", "DUPLICATOR", "FALSE", "MAX", "MIN", "SPOILER",
     "TRUE", "UNDETERMINED", "And", "At", "AtomVar", "Bot", "Dfa", "Eq",
     "ExistsAtom", "ExistsSet", "Exle", "FalseF", "Fin", "FiniteModel",
-    "ForallAtom", "ForallSet", "Formula", "GameState", "Iff", "Implies",
+    "ForallAtom", "ForallSet", "Formula", "Iff", "Implies",
     "Inf", "MaxAtom", "Mem", "MinAtom", "NormalFormDescriptor", "Not", "Or",
     "ParseError", "ResidueSpec", "ResourceLimitError", "SetVar", "Subset",
     "Table", "Term", "TrueF", "TypePoint", "UPSet", "Undetermined",

@@ -113,8 +113,14 @@ def _formula_source(p: argparse.ArgumentParser) -> None:
 
 def _formulas(args) -> list[Formula]:
     if args.file is not None:
-        with open(args.file, encoding="utf-8") as handle:
-            lines = [line.strip() for line in handle]
+        try:
+            with open(args.file, encoding="utf-8") as handle:
+                lines = [line.strip() for line in handle]
+        except OSError as exc:
+            raise ValueError(
+                f"cannot read {args.file}: {exc.strerror or exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{args.file} is not UTF-8 text") from exc
         return [parse(line) for line in lines if line]
     return [parse(args.formula)]
 

@@ -4,7 +4,8 @@ A word of length n over {0,1}^w stands for the n-atom order together with
 one subset of positions per track.  Compilation is structural: atomic
 formulas get small hand-built automata, every binary connective is one
 product (``automata.combine``), and a set quantifier projects its
-variable's track away (universal quantification via double complement).
+variable's track away (universal quantification via double complement),
+so a binder that reuses a name needs no renaming.
 Before compiling, quantifiers are miniscoped: a universal is pushed through
 the conjuncts of its body and an existential through the disjuncts, so each
 projection works on an automaton with fewer tracks.  For a sentence the
@@ -20,8 +21,8 @@ from . import automata as au
 from .automata import Dfa, effective_state_cap
 from .formula.nodes import (And, At, Bot, Eq, ExistsSet, Exle, FalseF,
                             ForallSet, Formula, Iff, Implies, Not, Or,
-                            SetVar, Subset, TrueF, check_sorts, fresh_names,
-                            is_sentence, rebuild, subformulas, terms_of)
+                            SetVar, Subset, TrueF, check_sorts, is_sentence,
+                            rebuild, subformulas, terms_of)
 from .formula.builders import conj, disj
 from .formula.sugar import desugar, is_desugared
 from .upsets import UPSet
@@ -93,7 +94,7 @@ def compile(f: Formula, *, cap: int | None = None) -> Dfa:
     key = (f, cap)
     cached = _COMPILE_CACHE.get(key)
     if cached is None:
-        cached = _compile(_alpha_rename(_miniscope(f)), cap)
+        cached = _compile(_miniscope(f), cap)
         _COMPILE_CACHE[key] = cached
     return cached
 
@@ -179,24 +180,3 @@ def _disjuncts(f: Formula) -> list[Formula]:
         return _disjuncts(f.left) + _disjuncts(f.right)
     return [f]
 
-
-def _alpha_rename(f: Formula) -> Formula:
-    """Give every bound set variable a unique fresh name so that one track
-    per variable is unambiguous."""
-    fresh = fresh_names(f, upper=True)
-
-    def go(g: Formula, env: dict[str, str]) -> Formula:
-        if isinstance(g, (ExistsSet, ForallSet)):
-            name = next(fresh)
-            body = go(g.body, {**env, g.var: name})
-            return type(g)(name, body)
-        kids = subformulas(g)
-        if kids:
-            return rebuild(g, tuple(go(k, env) for k in kids))
-        if not env or not isinstance(g, _ATOMIC):
-            return g
-        return type(g)(*(SetVar(env[t.name])
-                         if isinstance(t, SetVar) and t.name in env else t
-                         for t in terms_of(g)))
-
-    return go(f, {})

@@ -270,11 +270,7 @@ def pseudofinite_valid(f: Formula, *, cap: int | None = None) -> bool:
 def satisfiable_witness(f: Formula, *, cap: int | None = None) -> int | None:
     """Least finite model size satisfying the sentence, None if there is
     none (equivalently: the negation holds in every finite model)."""
-    s = spectrum(f, cap=cap)
-    for n in range(s.threshold + s.period):
-        if s.member(n):
-            return n
-    return None
+    return spectrum(f, cap=cap).min_element()
 
 
 def format_point(point: TypePoint) -> str:

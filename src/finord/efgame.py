@@ -17,8 +17,6 @@ condition under which every final pick can be mirrored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import FiniteModel, ResourceLimitError
@@ -27,21 +25,6 @@ SPOILER = "Spoiler"
 DUPLICATOR = "Duplicator"
 
 DEFAULT_MEMO_BUDGET = 2 ** 26
-
-
-@dataclass(frozen=True)
-class GameState:
-    """A position: the elements chosen so far on each side, and the number
-    of rounds still to be played."""
-    left_tuple: tuple[int, ...]
-    right_tuple: tuple[int, ...]
-    rounds_remaining: int
-
-    def __post_init__(self):
-        if len(self.left_tuple) != len(self.right_tuple):
-            raise ValueError("tuples must have equal length")
-        if self.rounds_remaining < 0:
-            raise ValueError("rounds_remaining must be a natural")
 
 
 def _facts(model: FiniteModel, e: int, a: int) -> tuple[bool, ...]:

@@ -7,6 +7,8 @@ position of the left set strictly precedes some position of the right set.
 ``evaluate`` computes standard truth by exhaustive enumeration, vectorized
 with numpy: each open variable contributes one table axis (2^n values for a
 set variable, n for an atom variable) and quantifiers reduce their axis.
+Over large tables an atom quantifier instead folds one atom at a time,
+stopping once the answer is settled, so that no table widens by n.
 Costs are exponential and guarded by explicit limits.
 
 ``slow_evaluate`` is the same semantics as direct recursion over any finite
@@ -15,6 +17,8 @@ product structures, whose universe is pairs.
 """
 
 from __future__ import annotations
+
+from operator import and_, eq, le, or_
 
 import numpy as np
 
@@ -27,12 +31,16 @@ from .formula.nodes import (And, At, AtomVar, Bot, Eq, Exle, ExistsAtom,
 DEFAULT_MAX_N = 10
 DEFAULT_MAX_SET_DEPTH = 4
 DEFAULT_MAX_CELLS = 2 ** 30
-_SLICE_CELLS = 2 ** 24
+_SLICE_CELLS = 2 ** 18
 
-# A binding is (name, is_set, axis, value): quantifiers normally bind an
-# axis (value None); an atom quantifier over a table too big to widen binds
-# a scalar instead (axis None) and folds over the n slices.
-_Binding = tuple[str, bool, "int | None", "int | None"]
+# A binding is (name, axis, values): the variable ranges over the int64
+# array `values`, laid along table axis `axis`.  A folding atom quantifier
+# binds one atom at a time as a one-value slice, so its axis stays size 1.
+_Binding = tuple[str, int, np.ndarray]
+
+# Truth function on Python bools, and the same function on bool tables.
+_CONNECTIVES = {And: (and_, np.logical_and), Or: (or_, np.logical_or),
+                Implies: (le, np.less_equal), Iff: (eq, np.equal)}
 
 
 class ResourceLimitError(RuntimeError):
@@ -154,84 +162,63 @@ class _Evaluator:
             return self._const(False, naxes)
         if isinstance(f, Not):
             return self._neg(self.eval(f.body, binds, naxes, env))
-        if isinstance(f, And):
+        ops = _CONNECTIVES.get(type(f))
+        if ops is not None:
+            # a constant side either settles the result or passes the
+            # other side through, negated when truth(c, True) is false
+            truth, table_op = ops
             left = self.eval(f.left, binds, naxes, env)
             if left.size == 1:
-                if not left.reshape(()):
-                    return left
-                return self.eval(f.right, binds, naxes, env)
-            right = self.eval(f.right, binds, naxes, env)
-            if right.size == 1:
-                return left if right.reshape(()) else right
-            return self._merge(np.logical_and, left, right)
-        if isinstance(f, Or):
-            left = self.eval(f.left, binds, naxes, env)
-            if left.size == 1:
-                if left.reshape(()):
-                    return left
-                return self.eval(f.right, binds, naxes, env)
-            right = self.eval(f.right, binds, naxes, env)
-            if right.size == 1:
-                return right if right.reshape(()) else left
-            return self._merge(np.logical_or, left, right)
-        if isinstance(f, Implies):
-            left = self.eval(f.left, binds, naxes, env)
-            if left.size == 1:
-                if not left.reshape(()):
-                    return self._const(True, naxes)
-                return self.eval(f.right, binds, naxes, env)
-            right = self.eval(f.right, binds, naxes, env)
-            if right.size == 1:
-                return right if right.reshape(()) else self._neg(left)
-            return self._merge(np.logical_or, self._neg(left), right)
-        if isinstance(f, Iff):
-            left = self.eval(f.left, binds, naxes, env)
-            if left.size == 1:
+                c = bool(left.reshape(()))
+                if truth(c, False) == truth(c, True):
+                    return self._const(truth(c, True), naxes)
                 right = self.eval(f.right, binds, naxes, env)
-                return right if left.reshape(()) else self._neg(right)
+                return right if truth(c, True) else self._neg(right)
             right = self.eval(f.right, binds, naxes, env)
             if right.size == 1:
-                return left if right.reshape(()) else self._neg(left)
-            return self._merge(np.equal, left, right)
-        if isinstance(f, (ExistsSet, ForallSet)):
-            inner = binds + ((f.var, True, naxes, None),)
-            body = self.eval(f.body, inner, naxes + 1, env)
-            if body.shape[-1] == 1:
-                return body[..., 0]
-            return body.any(axis=-1) if isinstance(f, ExistsSet) \
-                else body.all(axis=-1)
-        if isinstance(f, (ExistsAtom, ForallAtom)):
-            return self._quant_atom(f, binds, naxes, env)
+                c = bool(right.reshape(()))
+                if truth(False, c) == truth(True, c):
+                    return self._const(truth(True, c), naxes)
+                return left if truth(True, c) else self._neg(left)
+            return self._merge(table_op, left, right)
+        if isinstance(f, (ExistsSet, ForallSet, ExistsAtom, ForallAtom)):
+            return self._quant(f, binds, naxes, env)
         return self._atomic(f, binds, naxes, env)
 
-    def _quant_atom(self, f, binds: tuple[_Binding, ...], naxes: int,
-                    env: dict) -> np.ndarray:
-        exists = isinstance(f, ExistsAtom)
-        n = self.model.n
-        if n == 0:
+    def _quant(self, f, binds: tuple[_Binding, ...], naxes: int,
+               env: dict) -> np.ndarray:
+        """Reduce the body over the variable's domain, bound on a new last
+        axis: in one piece, or, for an atom whose estimated live table
+        exceeds _SLICE_CELLS, one atom at a time until the answer is
+        settled."""
+        exists = isinstance(f, (ExistsSet, ExistsAtom))
+        is_set = isinstance(f, (ExistsSet, ForallSet))
+        values = self.set_values if is_set else self.atom_values
+        if not len(values):
             return self._const(not exists, naxes)
-        live = free_vars(f.body)
-        est = n
-        for name, is_set, axis, _value in binds:
-            if axis is not None and name in live:
-                est *= (1 << n) if is_set else n
-        if est <= _SLICE_CELLS:
-            inner = binds + ((f.var, False, naxes, None),)
-            body = self.eval(f.body, inner, naxes + 1, env)
-            if body.shape[-1] == 1:
-                return body[..., 0]
-            return body.any(axis=-1) if exists else body.all(axis=-1)
-        # table too wide: bind the atom as a scalar and fold over n slices
+        pieces = [values]
+        if not is_set:
+            live = free_vars(f.body)
+            est = len(values)
+            for name, _axis, bound in binds:
+                if name in live:
+                    est *= len(bound)
+            if est > _SLICE_CELLS:
+                pieces = [values[i:i + 1] for i in range(len(values))]
         op = np.logical_or if exists else np.logical_and
         acc: np.ndarray | None = None
-        for i in range(n):
-            inner = binds + ((f.var, False, None, 1 << i),)
-            piece = self.eval(f.body, inner, naxes, env)
-            if piece.size == 1:
-                if bool(piece.reshape(())) == exists:
-                    return self._const(exists, naxes)
+        for piece in pieces:
+            inner = binds + ((f.var, naxes, piece),)
+            body = self.eval(f.body, inner, naxes + 1, env)
+            if body.shape[-1] == 1:
+                body = body[..., 0]
+            else:
+                body = body.any(axis=-1) if exists else body.all(axis=-1)
+            if body.size == 1:
+                if bool(body.reshape(())) == exists:
+                    return body
                 continue
-            acc = piece if acc is None else self._merge(op, acc, piece)
+            acc = body if acc is None else self._merge(op, acc, body)
         return acc if acc is not None else self._const(not exists, naxes)
 
     def _atomic(self, f: Formula, binds: tuple[_Binding, ...], naxes: int,
@@ -252,10 +239,10 @@ class _Evaluator:
         if a is None or b is None:
             return self._const(False, naxes)
         if isinstance(f, Eq):
-            return self._combine(np.equal, a, b)
+            return self._merge(np.equal, a, b)
         if isinstance(f, Exle):
-            return self._combine(lambda x, y: self.low[x] < self.high[y], a, b)
-        return self._combine(lambda x, y: (x & ~y) == 0, a, b)
+            return self._merge(lambda x, y: self.low[x] < self.high[y], a, b)
+        return self._merge(lambda x, y: (x & ~y) == 0, a, b)
 
     def _term(self, t: Term, binds: tuple[_Binding, ...], naxes: int,
               env: dict):
@@ -270,11 +257,8 @@ class _Evaluator:
             v = self.model.greatest_atom()
             return None if v is None else self._int_const(v, naxes)
         if isinstance(t, (SetVar, AtomVar)):
-            for name, is_set, axis, value in reversed(binds):
+            for name, axis, values in reversed(binds):
                 if name == t.name:
-                    if axis is None:
-                        return self._int_const(value, naxes)
-                    values = self.set_values if is_set else self.atom_values
                     shape = [1] * naxes
                     shape[axis] = values.shape[0]
                     return values.reshape(shape)
@@ -284,10 +268,10 @@ class _Evaluator:
         raise TypeError(f"not a term: {t!r}")
 
     def _const(self, value: bool, naxes: int) -> np.ndarray:
-        return np.full((1,) * naxes, bool(value))
+        return np.array(bool(value), ndmin=naxes)
 
     def _int_const(self, value: int, naxes: int) -> np.ndarray:
-        return np.full((1,) * naxes, value, dtype=np.int64)
+        return np.array(value, dtype=np.int64, ndmin=naxes)
 
     def _guard(self, shape: tuple[int, ...]) -> None:
         cells = 1
@@ -296,10 +280,6 @@ class _Evaluator:
         if cells > self.max_cells:
             raise ResourceLimitError(
                 f"table of {cells} cells exceeds limit {self.max_cells}")
-
-    def _combine(self, op, a, b) -> np.ndarray:
-        self._guard(np.broadcast_shapes(np.shape(a), np.shape(b)))
-        return op(a, b)
 
     # Every bool table returned by eval() is freshly allocated for exactly
     # one parent node, so a full-shaped operand can safely serve as the

@@ -63,20 +63,12 @@ class UPSet:
         return not self.init and not self.residues
 
     def min_element(self) -> int | None:
-        if self.init:
-            first_init = min(self.init)
-        else:
-            first_init = None
-        if self.residues:
-            tail = min(n for n in range(self.threshold, self.threshold + self.period)
-                       if (n % self.period) in self.residues)
-        else:
-            tail = None
-        if first_init is None:
-            return tail
-        if tail is None:
-            return first_init
-        return min(first_init, tail)
+        """Least member, None when the set is empty: the residues repeat
+        after one period past the threshold."""
+        for n in range(self.threshold + self.period):
+            if self.member(n):
+                return n
+        return None
 
     def canonicalize(self) -> "UPSet":
         """Minimal period (a divisor of the current one), then minimal threshold."""

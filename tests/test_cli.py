@@ -91,7 +91,7 @@ def test_file_input(capsys, tmp_path):
                                 "UP(init={};N=0;d=1;res={})"]
 
 
-def test_domain_errors_exit_1(capsys):
+def test_domain_errors_exit_1(capsys, tmp_path):
     # parse error
     code, _, err = run(capsys, "spectrum", "ex1 x.")
     assert code == 1 and err.startswith("error:")
@@ -101,6 +101,13 @@ def test_domain_errors_exit_1(capsys):
     # bad point serialization
     code, _, err = run(capsys, "decide", "--point", "fin:-1", "true")
     assert code == 1 and err.startswith("error:")
+    # a formula file that is missing, or is not UTF-8 text
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"ex1 x. true\xe9\n")
+    for path in (tmp_path / "missing.txt", latin1):
+        code, _, err = run(capsys, "spectrum", "--file", str(path))
+        assert code == 1 and err.startswith("error:")
+        assert err.count("\n") == 1 and str(path) in err
 
 
 def test_usage_errors_exit_2():

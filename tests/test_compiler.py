@@ -10,7 +10,7 @@ from finord import (And, At, Bot, Dfa, Eq, ExistsSet, Exle, FalseF,
                     build_rho, clear_caches, compile, cylindrify, desugar,
                     effective_state_cap, equivalent, evaluate, parse,
                     project, same_set, spectrum)
-from finord.compiler import _alpha_rename, _compile, _miniscope
+from finord.compiler import _compile, _miniscope
 from finord.model import FiniteModel
 
 from corpus import CORPUS, CORPUS_BY_NAME
@@ -162,8 +162,12 @@ def _all_words(width, n):
 
 
 def test_spectrum_agrees_with_evaluator_on_corpus_sample():
-    for name in ("psi_eq_2", "rho_2_1", "axiom_order_total", "random_3"):
-        f = CORPUS_BY_NAME[name]
+    sentences = [CORPUS_BY_NAME[name] for name in
+                 ("psi_eq_2", "rho_2_1", "axiom_order_total", "random_3")]
+    # each inner binder rebinds X inside the scope of the outer X
+    sentences.append(parse("ex2 X. at(X) & (all2 X. X sub X)"
+                           " & ~(ex2 X. X << X & ~X = X)"))
+    for f in sentences:
         s = spectrum(f)
         for n in range(6):
             assert s.member(n) == evaluate(FiniteModel(n), f, {})
@@ -203,7 +207,7 @@ def test_cylindrify_compile_consistency():
 
 def _unscoped(f):
     """The automaton of a desugared formula compiled without miniscoping."""
-    return _compile(_alpha_rename(f), effective_state_cap())
+    return _compile(f, effective_state_cap())
 
 
 def test_miniscope_keeps_automata():

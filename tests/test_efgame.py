@@ -2,9 +2,8 @@
 
 import pytest
 
-from finord import (DUPLICATOR, SPOILER, FiniteModel, GameState,
-                    ResourceLimitError, atomic_agreement, ef_equiv,
-                    ef_winner)
+from finord import (DUPLICATOR, SPOILER, FiniteModel, ResourceLimitError,
+                    atomic_agreement, ef_equiv, ef_winner)
 
 
 def test_winner_examples():
@@ -79,15 +78,6 @@ def test_atomic_agreement():
     assert atomic_agreement(m2, (3,), m3, (7,)) is True
     # pair facts: (atom, its superset) vs (atom, disjoint set)
     assert atomic_agreement(m2, (1, 3), m3, (1, 6)) is False
-
-
-def test_game_state_validation():
-    with pytest.raises(ValueError):
-        GameState((0,), (), 1)
-    with pytest.raises(ValueError):
-        GameState((), (), -1)
-    s = GameState((1,), (2,), 2)
-    assert s.rounds_remaining == 2
 
 
 def test_round_count_validation():

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from corpus import CORPUS, _random_sentence
+import finord.model
 from finord import (FiniteModel, ResourceLimitError, build_psi, build_rho,
                     canonical_iso_check, evaluate, free_set_vars, parse,
                     product, slow_evaluate)
@@ -64,7 +65,16 @@ def test_endpoint_constants_on_empty_model():
     assert evaluate(m2, parse("min = max")) is False
 
 
-def test_evaluators_agree_on_random_formulas():
+# Atom quantifiers reduce a whole axis below _SLICE_CELLS estimated cells
+# and fold one atom at a time above it; 0 sends every one of them through
+# the fold, so both sides of the choice are checked against slow_evaluate.
+fold_threshold = pytest.mark.parametrize(
+    "slice_cells", [finord.model._SLICE_CELLS, 0], ids=["axis", "fold"])
+
+
+@fold_threshold
+def test_evaluators_agree_on_random_formulas(monkeypatch, slice_cells):
+    monkeypatch.setattr(finord.model, "_SLICE_CELLS", slice_cells)
     rng = random.Random(7)
     for _ in range(80):
         f = _random_sentence(rng, 2, (), ())
@@ -73,7 +83,9 @@ def test_evaluators_agree_on_random_formulas():
             assert evaluate(m, f) == slow_evaluate(m, f), f
 
 
-def test_evaluators_agree_with_free_variables():
+@fold_threshold
+def test_evaluators_agree_with_free_variables(monkeypatch, slice_cells):
+    monkeypatch.setattr(finord.model, "_SLICE_CELLS", slice_cells)
     rng = random.Random(11)
     for _ in range(40):
         f = _random_sentence(rng, 1, ("X",), ("y",))
