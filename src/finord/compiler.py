@@ -15,7 +15,7 @@ transition lasso — are exactly the model sizes satisfying the sentence.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 
 from . import automata as au
 from .automata import Dfa, effective_state_cap
@@ -90,13 +90,7 @@ def compile(f: Formula, *, cap: int | None = None) -> Dfa:
     check_sorts(f)
     if not is_desugared(f):
         raise ValueError("compile requires a desugared formula")
-    cap = effective_state_cap(cap)
-    key = (f, cap)
-    cached = _COMPILE_CACHE.get(key)
-    if cached is None:
-        cached = _compile(_miniscope(f), cap)
-        _COMPILE_CACHE[key] = cached
-    return cached
+    return _compiled(f, effective_state_cap(cap))
 
 
 def spectrum(f: Formula, *, cap: int | None = None) -> UPSet:
@@ -104,23 +98,27 @@ def spectrum(f: Formula, *, cap: int | None = None) -> UPSet:
     sentence f (surface sugar allowed)."""
     if not is_sentence(f):
         raise ValueError("spectrum requires a sentence")
-    cap = effective_state_cap(cap)
-    key = (f, cap)
-    cached = _SPECTRUM_CACHE.get(key)
-    if cached is None:
-        cached = au.lasso_spectrum(compile(desugar(f), cap=cap))
-        _SPECTRUM_CACHE[key] = cached
-    return cached
+    return _spectrum(f, effective_state_cap(cap))
 
 
-_COMPILE_CACHE: dict = {}
-_SPECTRUM_CACHE: dict = {}
+# Above the distinct sentences any one workload or test run touches.
+_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _compiled(f: Formula, cap: int) -> Dfa:
+    return _compile(_miniscope(f), cap)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _spectrum(f: Formula, cap: int) -> UPSet:
+    return au.lasso_spectrum(compile(desugar(f), cap=cap))
 
 
 def clear_caches() -> None:
     """Drop memoized compilation results (for cold timing runs)."""
-    _COMPILE_CACHE.clear()
-    _SPECTRUM_CACHE.clear()
+    _compiled.cache_clear()
+    _spectrum.cache_clear()
 
 
 def _compile(f: Formula, cap: int) -> Dfa:

@@ -100,24 +100,8 @@ def _prime_power(k: int) -> tuple[int, int] | None:
     """(p, j) with k = p**j, or None if k is not a prime power."""
     if k < 2:
         return None
-    p = None
-    m = k
-    for q in range(2, k + 1):
-        if q * q > m:
-            p = m if p is None else p
-            break
-        if m % q == 0:
-            p = q
-            break
-    while m % p == 0:
-        m //= p
-    if m != 1:
-        return None
-    j = 0
-    while k > 1:
-        k //= p
-        j += 1
-    return p, j
+    factors = _factorize(k)
+    return next(iter(factors.items())) if len(factors) == 1 else None
 
 
 def _factorize(d: int) -> dict[int, int]:

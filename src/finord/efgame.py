@@ -7,12 +7,14 @@ second player wins when, after all rounds, every unnested atomic fact — the
 forms X=Y, X⊆Y, X⊑Y, At(X), and every variant with ⊥ for an argument —
 holds of the left tuple exactly as of the right tuple.
 
-The solver is a memoized minimax over game states with two exact
-accelerations: structures of equal size are immediately a Duplicator win
-(copy the opponent's move), and a state with one round left is decided by
-comparing, per side, the set of realizable answer profiles (an answer's
-atomic facts about itself and the chosen tuple), which is precisely the
-condition under which every final pick can be mirrored.
+Every fact is read from one code per element: against a chosen tuple t, an
+element's code packs its unary facts and its pair facts with each entry of t.
+The solver is a memoized minimax over agreeing positions.  Duplicator's
+answers to a pick are the elements whose code equals the pick's; structures
+of equal size are a Duplicator win at once (copy every move); and a position
+with one round left is a Duplicator win exactly when both sides realize the
+same set of codes, so that every final pick can be mirrored.  One memo holds
+positions and code sets, and ``memo_budget`` bounds its size.
 """
 
 from __future__ import annotations
@@ -27,19 +29,21 @@ DUPLICATOR = "Duplicator"
 DEFAULT_MEMO_BUDGET = 2 ** 26
 
 
-def _facts(model: FiniteModel, e: int, a: int) -> tuple[bool, ...]:
-    """The ordered-pair atomic facts between two elements."""
-    return (e == a,
-            model.subset(e, a),
-            model.subset(a, e),
-            model.exle(e, a),
-            model.exle(a, e))
-
-
-def _self_facts(model: FiniteModel, e: int) -> tuple[bool, ...]:
-    """Unary facts of one element; the ⊥-variant atoms reduce to these
-    (e ⊆ ⊥ iff e = ⊥; ⊥ ⊆ e always; ⊑ with ⊥ never; At(⊥) never)."""
-    return (e == 0, model.is_atom(e), model.exle(e, e))
+def _codes(model: FiniteModel, t: tuple[int, ...]) -> np.ndarray:
+    """For every element e: e = ⊥, At(e), e ⊑ e, then for each entry a of t,
+    e = a, e ⊆ a, a ⊆ e, e ⊑ a, a ⊑ e.  The ⊥-variant atoms reduce to the
+    unary facts (e ⊆ ⊥ iff e = ⊥; ⊥ ⊆ e always; ⊑ and At with ⊥ never)."""
+    low, high, pop = model.bit_tables()
+    es = np.arange(1 << model.n, dtype=np.int64)
+    # 3 + 5·len(t) bits: past 12 entries they need Python ints
+    code = np.zeros(len(es), np.int64 if len(t) <= 12 else object)
+    for fact in (es == 0, pop == 1, low < high):
+        code = 2 * code + fact
+    for a in t:
+        for fact in (es == a, (es & ~a) == 0, (a & ~es) == 0,
+                     low < high[a], low[a] < high):
+            code = 2 * code + fact
+    return code
 
 
 def atomic_agreement(left: FiniteModel, a_tuple, right: FiniteModel,
@@ -49,87 +53,62 @@ def atomic_agreement(left: FiniteModel, a_tuple, right: FiniteModel,
     a_tuple, b_tuple = tuple(a_tuple), tuple(b_tuple)
     if len(a_tuple) != len(b_tuple):
         raise ValueError("tuples must have equal length")
-    for a, b in zip(a_tuple, b_tuple):
-        if _self_facts(left, a) != _self_facts(right, b):
-            return False
-    for i, (a, b) in enumerate(zip(a_tuple, b_tuple)):
-        for j in range(i):
-            if _facts(left, a, a_tuple[j]) != _facts(right, b, b_tuple[j]):
-                return False
-    return True
+    for model, t in ((left, a_tuple), (right, b_tuple)):
+        if not all(0 <= e < 1 << model.n for e in t):
+            raise ValueError(f"tuple {t} leaves the universe of {model}")
+    return all(_codes(left, a_tuple[:i])[a] == _codes(right, b_tuple[:i])[b]
+               for i, (a, b) in enumerate(zip(a_tuple, b_tuple)))
 
 
 class _Solver:
-    def __init__(self, left: FiniteModel, right: FiniteModel, budget: int):
-        self.left = left
-        self.right = right
-        self.budget = budget
-        self.memo: dict[tuple, bool] = {}
-        self.profile_keys: dict[tuple, bytes] = {}
+    """Memoized minimax over agreeing positions."""
 
-    def duplicator_wins(self, a_tuple: tuple[int, ...],
-                        b_tuple: tuple[int, ...], rounds: int) -> bool:
-        if not atomic_agreement(self.left, a_tuple, self.right, b_tuple):
-            return False
-        if self.left.n == self.right.n and a_tuple == b_tuple:
-            return True
-        if rounds == 0:
+    def __init__(self, left: FiniteModel, right: FiniteModel, budget: int):
+        self.models = (left, right)
+        self.budget = budget
+        self.memo: dict[tuple, object] = {}
+
+    def duplicator_wins(self, a: tuple[int, ...], b: tuple[int, ...],
+                        rounds: int) -> bool:
+        left, right = self.models
+        if rounds == 0 or (left.n == right.n and a == b):
             return True
         if rounds == 1:
-            return (self._profile_key(0, a_tuple)
-                    == self._profile_key(1, b_tuple))
-        key = (a_tuple, b_tuple, rounds)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        if len(self.memo) >= self.budget:
-            raise ResourceLimitError(
-                f"game state budget of {self.budget} memo entries exceeded")
-        result = True
-        for pick_left in (True, False):
-            picker = self.left if pick_left else self.right
-            other = self.right if pick_left else self.left
-            for c in picker.universe():
-                answered = False
-                for d in other.universe():
-                    ext_a = a_tuple + ((c,) if pick_left else (d,))
-                    ext_b = b_tuple + ((d,) if pick_left else (c,))
-                    if self.duplicator_wins(ext_a, ext_b, rounds - 1):
-                        answered = True
-                        break
-                if not answered:
-                    result = False
-                    break
-            if not result:
-                break
-        self.memo[key] = result
-        return result
+            return self._entry((0, a)) == self._entry((1, b))
+        return self._entry((a, b, rounds))
 
-    def _profile_key(self, side: int, t: tuple[int, ...]) -> bytes:
-        """Fingerprint of the set of answer profiles available on one side:
-        for every element e, its self facts plus its pair facts against each
-        tuple entry, encoded as a bit pattern.  Two states with one round
-        left are Duplicator wins exactly when agreeing tuples realize equal
-        profile sets."""
-        cache_key = (side, t)
-        hit = self.profile_keys.get(cache_key)
-        if hit is not None:
-            return hit
-        model = self.left if side == 0 else self.right
-        low, high, pop = model.bit_tables()
-        es = np.arange(1 << model.n, dtype=np.int64)
-        code = (es == 0).astype(np.int64)
-        code = 2 * code + (pop[es] == 1)
-        code = 2 * code + (low[es] < high[es])
-        for a in t:
-            code = 2 * code + (es == a)
-            code = 2 * code + ((es & ~a) == 0)
-            code = 2 * code + ((a & ~es) == 0)
-            code = 2 * code + (low[es] < high[a])
-            code = 2 * code + (low[a] < high[es])
-        key = np.unique(code).tobytes()
-        self.profile_keys[cache_key] = key
-        return key
+    def _entry(self, key: tuple):
+        """The memo entry for a position (a, b, rounds), its verdict, or for
+        (side, t), the set of codes that side realizes against t."""
+        hit = self.memo.get(key)
+        if hit is None:
+            if len(self.memo) >= self.budget:
+                raise ResourceLimitError(f"game state budget of {self.budget}"
+                                         " memo entries exceeded")
+            if len(key) == 2:
+                side, t = key
+                hit = tuple(np.unique(_codes(self.models[side], t)).tolist())
+            else:
+                hit = self._search(*key)
+            self.memo[key] = hit
+        return hit
+
+    def _search(self, a: tuple[int, ...], b: tuple[int, ...],
+                rounds: int) -> bool:
+        """Spoiler picks every left element, then every right one;
+        Duplicator tries the agreeing answers in ascending order."""
+        left, right = _codes(self.models[0], a), _codes(self.models[1], b)
+        rest = rounds - 1
+
+        def answers(codes, code):
+            return np.flatnonzero(codes == code).tolist()
+
+        return (all(any(self.duplicator_wins(a + (c,), b + (d,), rest)
+                        for d in answers(right, code))
+                    for c, code in enumerate(left))
+                and all(any(self.duplicator_wins(a + (d,), b + (c,), rest)
+                            for d in answers(left, code))
+                        for c, code in enumerate(right)))
 
 
 def ef_winner(left: FiniteModel, right: FiniteModel, k: int, *,
@@ -138,8 +117,7 @@ def ef_winner(left: FiniteModel, right: FiniteModel, k: int, *,
     "Duplicator"."""
     if k < 0:
         raise ValueError("round count must be a natural")
-    solver = _Solver(left, right, memo_budget)
-    won = solver.duplicator_wins((), (), k)
+    won = _Solver(left, right, memo_budget).duplicator_wins((), (), k)
     return DUPLICATOR if won else SPOILER
 
 

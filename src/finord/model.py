@@ -18,6 +18,7 @@ product structures, whose universe is pairs.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import and_, eq, le, or_
 
 import numpy as np
@@ -54,7 +55,6 @@ class FiniteModel:
         if n < 0:
             raise ValueError("size must be a natural")
         self.n = n
-        self._tables: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def __repr__(self) -> str:
         return f"FiniteModel({self.n})"
@@ -98,21 +98,26 @@ class FiniteModel:
 
     def bit_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(lowest set bit index or n, highest set bit index or -1, popcount)
-        for every mask below 2^n."""
-        if self._tables is None:
-            size = 1 << self.n
-            xs = np.arange(size, dtype=np.int64)
-            pop = np.zeros(size, dtype=np.int16)
-            high = np.full(size, -1, dtype=np.int16)
-            low = np.full(size, self.n, dtype=np.int16)
-            for b in range(self.n):
-                bit = (xs >> b) & 1
-                pop += bit.astype(np.int16)
-                high[bit == 1] = b
-                lb = (xs & ((1 << (b + 1)) - 1)) == (1 << b)
-                low[lb] = b
-            self._tables = (low, high, pop)
-        return self._tables
+        for every mask below 2^n; read-only, shared by models of one size."""
+        return _bit_tables(self.n)
+
+
+@lru_cache(maxsize=16)
+def _bit_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    size = 1 << n
+    xs = np.arange(size, dtype=np.int64)
+    pop = np.zeros(size, dtype=np.int16)
+    high = np.full(size, -1, dtype=np.int16)
+    low = np.full(size, n, dtype=np.int16)
+    for b in range(n):
+        bit = (xs >> b) & 1
+        pop += bit.astype(np.int16)
+        high[bit == 1] = b
+        lb = (xs & ((1 << (b + 1)) - 1)) == (1 << b)
+        low[lb] = b
+    for table in (low, high, pop):
+        table.flags.writeable = False
+    return low, high, pop
 
 
 def evaluate(model: FiniteModel, f: Formula, env: dict[str, int] | None = None,

@@ -1,5 +1,7 @@
 """Round-limited comparison games between two finite models."""
 
+import random
+
 import pytest
 
 from finord import (DUPLICATOR, SPOILER, FiniteModel, ResourceLimitError,
@@ -78,6 +80,70 @@ def test_atomic_agreement():
     assert atomic_agreement(m2, (3,), m3, (7,)) is True
     # pair facts: (atom, its superset) vs (atom, disjoint set)
     assert atomic_agreement(m2, (1, 3), m3, (1, 6)) is False
+    # only the facts against the first entry tell these long tuples apart
+    middle = (4,) * 18
+    assert atomic_agreement(m3, (1,) + middle + (2,),
+                            m3, (1,) + middle + (1,)) is False
+
+
+def _plain_agreement(left, a_tuple, right, b_tuple):
+    """Same At for every entry and same =, ⊆, ⊑ for every ordered pair of
+    entries, with ⊥ appended to both tuples."""
+    def facts(model, t):
+        t = tuple(t) + (model.bot,)
+        return ([model.is_atom(x) for x in t],
+                [(x == y, model.subset(x, y), model.exle(x, y))
+                 for x in t for y in t])
+    return facts(left, a_tuple) == facts(right, b_tuple)
+
+
+def _naive_duplicator_wins(left, right, a_tuple, b_tuple, rounds):
+    """Plain minimax with no memo; agreement checked only at the end."""
+    if rounds == 0:
+        return _plain_agreement(left, a_tuple, right, b_tuple)
+    return (all(any(_naive_duplicator_wins(left, right, a_tuple + (c,),
+                                           b_tuple + (d,), rounds - 1)
+                    for d in right.universe())
+                for c in left.universe())
+            and all(any(_naive_duplicator_wins(left, right, a_tuple + (d,),
+                                               b_tuple + (c,), rounds - 1)
+                        for d in left.universe())
+                    for c in right.universe()))
+
+
+def test_atomic_agreement_matches_plain_definition():
+    rng = random.Random(3)
+    agreed = 0
+    for _ in range(3000):
+        m, n = rng.randint(0, 5), rng.randint(0, 5)
+        # up to 14 entries: codes past 12 entries leave int64
+        length = rng.choice([0, 1, 2, 3, 4, 14])
+        a = tuple(rng.randrange(1 << m) for _ in range(length))
+        b = (a if m == n and rng.random() < 0.3 else
+             tuple(rng.randrange(1 << n) for _ in range(length)))
+        left, right = FiniteModel(m), FiniteModel(n)
+        want = _plain_agreement(left, a, right, b)
+        assert atomic_agreement(left, a, right, b) is want, (m, a, n, b)
+        agreed += want
+    assert 300 < agreed < 2700
+
+
+def test_atomic_agreement_validation():
+    with pytest.raises(ValueError):
+        atomic_agreement(FiniteModel(1), (0,), FiniteModel(1), ())
+    with pytest.raises(ValueError):
+        atomic_agreement(FiniteModel(1), (2,), FiniteModel(2), (2,))
+    with pytest.raises(ValueError):
+        atomic_agreement(FiniteModel(1), (0,), FiniteModel(2), (-1,))
+
+
+@pytest.mark.parametrize("k,top", [(0, 3), (1, 3), (2, 3), (3, 2)])
+def test_ef_equiv_matches_naive_minimax(k, top):
+    for m in range(top + 1):
+        for n in range(top + 1):
+            want = _naive_duplicator_wins(FiniteModel(m), FiniteModel(n),
+                                          (), (), k)
+            assert ef_equiv(m, n, k) is want, (m, n, k)
 
 
 def test_round_count_validation():
@@ -88,3 +154,11 @@ def test_round_count_validation():
 def test_memo_budget_enforced():
     with pytest.raises(ResourceLimitError):
         ef_winner(FiniteModel(3), FiniteModel(4), 2, memo_budget=0)
+
+
+def test_memo_budget_counts_code_sets():
+    # one round left: only the two sides' code sets are stored
+    with pytest.raises(ResourceLimitError):
+        ef_winner(FiniteModel(2), FiniteModel(3), 1, memo_budget=0)
+    assert ef_winner(FiniteModel(2), FiniteModel(3), 1,
+                     memo_budget=2) == DUPLICATOR

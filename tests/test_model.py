@@ -29,6 +29,15 @@ def test_structure_tables_match_definitions():
                 lift = any(u & (1 << i) and v & (1 << j)
                            for i in range(n) for j in range(n) if i < j)
                 assert m.exle(u, v) == lift
+        low, high, pop = m.bit_tables()
+        bits = [[i for i in range(n) if u >> i & 1] for u in universe]
+        assert low.tolist() == [min(b, default=n) for b in bits]
+        assert high.tolist() == [max(b, default=-1) for b in bits]
+        assert pop.tolist() == [len(b) for b in bits]
+        # one read-only copy per size, shared by every model of that size
+        assert FiniteModel(n).bit_tables()[0] is low
+        with pytest.raises(ValueError):
+            pop[0] = 1
 
 
 def test_least_greatest_atom():
