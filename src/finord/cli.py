@@ -131,49 +131,49 @@ def _sentence(f: Formula) -> Formula:
     return f
 
 
+def _each_formula(args, render, end: str = "\n") -> int:
+    """Print render(f) for each input formula, in order."""
+    for f in _formulas(args):
+        print(render(f), end=end)
+    return 0
+
+
 def _cmd_eval(args) -> int:
     model = FiniteModel(args.n)
-    for f in _formulas(args):
-        value = evaluate(model, _sentence(f))
-        print("true" if value else "false")
-    return 0
+    return _each_formula(
+        args, lambda f: "true" if evaluate(model, _sentence(f)) else "false")
 
 
 def _cmd_spectrum(args) -> int:
-    for f in _formulas(args):
-        print(format_upset(spectrum(_sentence(f))))
-    return 0
+    return _each_formula(args, lambda f: format_upset(spectrum(_sentence(f))))
 
 
 def _cmd_valid(args) -> int:
-    for f in _formulas(args):
+    def render(f: Formula) -> str:
         counter = satisfiable_witness(Not(_sentence(f)))
-        if counter is None:
-            print("valid")
-        else:
-            print(f"invalid (countermodel n={counter})")
-    return 0
+        return "valid" if counter is None else f"invalid (countermodel n={counter})"
+    return _each_formula(args, render)
 
 
 def _cmd_normalform(args) -> int:
-    for f in _formulas(args):
+    def render(f: Formula) -> str:
         nf = to_normal_form(spectrum(_sentence(f)))
         sizes = ",".join(str(i) for i in sorted(nf.sizes))
         classes = ",".join(str(h) for h in sorted(nf.classes))
-        print(f"N={nf.threshold};d={nf.period};"
-              f"sizes={{{sizes}}};classes={{{classes}}}")
-    return 0
+        return (f"N={nf.threshold};d={nf.period};"
+                f"sizes={{{sizes}}};classes={{{classes}}}")
+    return _each_formula(args, render)
 
 
 def _cmd_decide(args) -> int:
     point = parse_point(args.point)
-    for f in _formulas(args):
+
+    def render(f: Formula) -> str:
         answer = point_models(point, _sentence(f))
         if answer is UNDETERMINED:
-            print("undetermined")
-        else:
-            print("true" if answer else "false")
-    return 0
+            return "undetermined"
+        return "true" if answer else "false"
+    return _each_formula(args, render)
 
 
 def _cmd_mul(args) -> int:
@@ -197,9 +197,8 @@ def _cmd_efgame(args) -> int:
 def _cmd_compile(args) -> int:
     if not args.dot:
         raise ValueError("choose an output mode: --dot")
-    for f in _formulas(args):
-        print(au.to_dot(compile_formula(desugar(f))), end="")
-    return 0
+    return _each_formula(
+        args, lambda f: au.to_dot(compile_formula(desugar(f))), end="")
 
 
 if __name__ == "__main__":

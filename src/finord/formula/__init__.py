@@ -5,10 +5,9 @@ from .nodes import (AtomVar, BOT, Bot, Eq, Exle, ExistsAtom, ExistsSet, FALSE,
                     Implies, MAX, MIN, MaxAtom, Mem, MinAtom, Not, Or, SetVar,
                     Subset, Term, TRUE, TrueF, all_identifiers, check_sorts,
                     free_set_vars, free_vars, is_sentence, quantifier_depths,
-                    sort_errors, subformulas, substitute_term, terms_of)
+                    subformulas, terms_of)
 from .parser import ParseError, format_formula, parse
-from .sugar import (desugar, is_desugared, relativize, relativize_below_atom,
-                    relativize_to_element)
+from .sugar import desugar, is_desugared, relativize
 from .builders import (base_axioms, build_comp, build_psi, build_rho,
                        build_sum, comp_samples, conj, disj,
                        induction_samples, reconstruct, succ_formula)

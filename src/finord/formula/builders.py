@@ -10,8 +10,8 @@ from ..upsets import NormalFormDescriptor
 from .nodes import (And, At, AtomVar, BOT, Eq, Exle, ExistsAtom, ExistsSet,
                     FALSE, ForallAtom, ForallSet, Formula, Iff, Implies, MAX,
                     MIN, Mem, Not, Or, SetVar, Subset, TRUE, all_identifiers,
-                    free_vars)
-from .sugar import desugar, relativize_to_element
+                    free_vars, fresh_names)
+from .sugar import desugar, relativize
 
 x_, y_, z_ = AtomVar("x"), AtomVar("y"), AtomVar("z")
 
@@ -103,9 +103,8 @@ def build_sum(f: Formula, g: Formula) -> Formula:
     if free_vars(f) or free_vars(g):
         raise ValueError("build_sum needs sentences")
     df, dg = desugar(f), desugar(g)
-    used = set(all_identifiers(df)) | set(all_identifiers(dg)) | {"u", "v", "w"}
-    xn = next(f"X{i}" for i in range(len(used) + 2) if f"X{i}" not in used)
-    yn = next(f"Y{i}" for i in range(len(used) + 2) if f"Y{i}" not in used)
+    fresh = fresh_names(all_identifiers(df) | all_identifiers(dg))
+    xn, yn = next(fresh), next(fresh)
     xv, yv = SetVar(xn), SetVar(yn)
     u, v = AtomVar("u"), AtomVar("v")
     split = ForallAtom(u.name, Iff(Mem(u, xv), Not(Mem(u, yv))))
@@ -113,8 +112,8 @@ def build_sum(f: Formula, g: Formula) -> Formula:
                   Implies(And(Mem(v, xv), Exle(u, v)), Mem(u, xv))))
     return ExistsSet(xn, ExistsSet(yn,
            conj([split, closed_down,
-                 relativize_to_element(df, xn),
-                 relativize_to_element(dg, yn)])))
+                 relativize(df, xn),
+                 relativize(dg, yn)])))
 
 
 def build_comp(eta: Formula, atom_var: str, set_params: Sequence[str]) -> Formula:
@@ -124,8 +123,7 @@ def build_comp(eta: Formula, atom_var: str, set_params: Sequence[str]) -> Formul
     extra = free_vars(eta) - allowed
     if extra:
         raise ValueError(f"eta has unexpected free variables: {sorted(extra)}")
-    used = set(all_identifiers(eta)) | set(set_params) | {atom_var}
-    xn = next(f"X{i}" for i in range(len(used) + 2) if f"X{i}" not in used)
+    xn = next(fresh_names(all_identifiers(eta) | set(set_params)))
     inner = ForallAtom(atom_var, Iff(Mem(AtomVar(atom_var), SetVar(xn)), eta))
     out: Formula = ExistsSet(xn, inner)
     for p in reversed(list(set_params)):

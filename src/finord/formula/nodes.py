@@ -259,43 +259,16 @@ def all_identifiers(f: Formula) -> frozenset[str]:
     return frozenset(names)
 
 
-def fresh_names(f: Formula, upper: bool = True):
-    """Deterministic generator of names unused anywhere in f."""
-    used = set(all_identifiers(f))
-    stem = "X" if upper else "x"
+def fresh_names(used):
+    """Deterministic generator of uppercase names X0, X1, ... outside
+    ``used``; the one source of fresh names in the formula layer."""
+    used = set(used)
     i = 0
     while True:
-        cand = f"{stem}{i}"
+        cand = f"X{i}"
         i += 1
         if cand not in used:
-            used.add(cand)
             yield cand
-
-
-def substitute_term(f: Formula, old: Term, new: Term) -> Formula:
-    """Replace every occurrence of the term ``old`` by ``new``.
-
-    Purely textual on terms; the caller is responsible for avoiding capture
-    and for stopping at binders that rebind the name.
-    """
-    if isinstance(f, _QUANT):
-        if isinstance(old, (SetVar, AtomVar)) and old.name == f.var:
-            return f
-        return type(f)(f.var, substitute_term(f.body, old, new))
-    if isinstance(f, _ATOMIC):
-        return type(f)(_sub(f.left, old, new), _sub(f.right, old, new))
-    if isinstance(f, At):
-        return At(_sub(f.arg, old, new))
-    if isinstance(f, Mem):
-        return Mem(_sub(f.atom, old, new), _sub(f.container, old, new))
-    kids = subformulas(f)
-    if kids:
-        return rebuild(f, tuple(substitute_term(g, old, new) for g in kids))
-    return f
-
-
-def _sub(t: Term, old: Term, new: Term) -> Term:
-    return new if t == old else t
 
 
 def quantifier_depths(f: Formula) -> tuple[int, int]:
@@ -311,30 +284,17 @@ def quantifier_depths(f: Formula) -> tuple[int, int]:
     return s, a
 
 
-def sort_errors(f: Formula) -> list[str]:
-    """Violations of the sorting discipline; empty when well-sorted.
+def check_sorts(f: Formula) -> None:
+    """Raise ValueError at the first violation of the sorting discipline.
 
     Constructor checks already pin casing, so what remains is where each
     sort may appear: membership needs an atom-sorted element of a
-    set-sorted container, and the atom-order sugar relates atom-sorted
-    terms.
+    set-sorted container.
     """
-    errs: list[str] = []
-
-    def walk(g: Formula) -> None:
-        if isinstance(g, Mem):
-            if not isinstance(g.atom, (AtomVar, MinAtom, MaxAtom)):
-                errs.append(f"membership needs an atom-sorted element: {g}")
-            if not isinstance(g.container, (SetVar, Bot)):
-                errs.append(f"membership needs a set-sorted container: {g}")
-        for h in subformulas(g):
-            walk(h)
-
-    walk(f)
-    return errs
-
-
-def check_sorts(f: Formula) -> None:
-    errs = sort_errors(f)
-    if errs:
-        raise ValueError("; ".join(errs))
+    if isinstance(f, Mem):
+        if not isinstance(f.atom, (AtomVar, MinAtom, MaxAtom)):
+            raise ValueError(f"membership needs an atom-sorted element: {f}")
+        if not isinstance(f.container, (SetVar, Bot)):
+            raise ValueError(f"membership needs a set-sorted container: {f}")
+    for g in subformulas(f):
+        check_sorts(g)

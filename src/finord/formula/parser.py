@@ -1,11 +1,15 @@
-"""Concrete syntax: tokenizer, recursive-descent parser, and printer.
+"""Concrete syntax: tokenizer, precedence-climbing parser, and printer.
 
 Precedence, loosest first: quantifier body (maximal scope), <->, ->, |, &, ~.
--> and <-> associate to the right, & and | to the left.  Keywords
-(true false bot min max at sub ex1 ex2 all1 all2) are reserved and cannot
-name variables.  ``format_formula`` emits text that reparses to the same
-AST; ``x << y`` between two atom-sorted terms prints in its sugar form
-``x < y``, which denotes the same node.
+The binary connectives and their associativity (-> and <-> to the right,
+& and | to the left) are one table, ``_INFIX``, which the parser and the
+printer both read.  Keywords (true false bot min max at sub ex1 ex2 all1
+all2) are reserved and cannot name variables.  Nesting more than 150
+levels deep (counting connective operands, negations, quantifier bodies
+and parentheses) is a ``ParseError``, not a ``RecursionError``.
+``format_formula`` emits text that reparses to the same AST; ``x << y``
+between two atom-sorted terms prints in its sugar form ``x < y``, which
+denotes the same node.
 """
 
 from __future__ import annotations
@@ -18,8 +22,26 @@ from .nodes import (AtomVar, BOT, Bot, Eq, Exle, ExistsAtom, ExistsSet, FALSE,
                     Implies, MAX, MIN, MaxAtom, Mem, MinAtom, Not, Or, SetVar,
                     Subset, Term, TRUE, TrueF)
 
-KEYWORDS = {"true", "false", "bot", "min", "max", "at", "sub",
-            "ex1", "ex2", "all1", "all2"}
+# Binary connectives, loosest first: (token, node, right-associative).
+# Entry i binds at level i + 1; level 0 is a quantifier body or the whole
+# input, and _NOT_LEVEL is the operand of ~.
+_INFIX = (("<->", Iff, True), ("->", Implies, True),
+          ("|", Or, False), ("&", And, False))
+_BY_TOKEN = {tok: (i + 1, node, right) for i, (tok, node, right) in enumerate(_INFIX)}
+_BY_NODE = {node: (i + 1, tok, right) for i, (tok, node, right) in enumerate(_INFIX)}
+_NOT_LEVEL = len(_INFIX) + 1
+
+_QUANTIFIERS = {"ex2": ExistsSet, "all2": ForallSet,
+                "ex1": ExistsAtom, "all1": ForallAtom}
+_CONSTANTS = {"bot": BOT, "min": MIN, "max": MAX}
+
+KEYWORDS = {"true", "false", "at", "sub", *_QUANTIFIERS, *_CONSTANTS}
+
+# Deep enough for the largest builder output the benchmark parses
+# (``build_psi("eq", 40)`` prints 123 levels deep), shallow enough that
+# desugaring, compiling and evaluating what parses stays within Python's
+# default recursion limit.
+_MAX_DEPTH = 150
 
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
@@ -63,6 +85,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -78,48 +101,40 @@ class _Parser:
             raise ParseError(f"expected {text!r}, found {t.text!r}", t.pos)
         return self.next()
 
-    def formula(self) -> Formula:
-        left = self.implication()
-        if self.peek().text == "<->":
+    def formula(self, level: int = 0) -> Formula:
+        """A formula whose binary connectives all bind at ``level`` or
+        tighter; the one recursion every nesting of the grammar goes
+        through."""
+        if self.depth > _MAX_DEPTH:
+            raise ParseError(f"formula nested deeper than {_MAX_DEPTH} levels",
+                             self.peek().pos)
+        self.depth += 1
+        f = self.prefix()
+        while (op := _BY_TOKEN.get(self.peek().text)) and op[0] >= level:
+            mine, node, right = op
             self.next()
-            return Iff(left, self.formula())
-        return left
-
-    def implication(self) -> Formula:
-        left = self.disjunction()
-        if self.peek().text == "->":
-            self.next()
-            return Implies(left, self.implication())
-        return left
-
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
-        while self.peek().text == "|":
-            self.next()
-            f = Or(f, self.conjunction())
+            f = node(f, self.formula(mine if right else mine + 1))
+        self.depth -= 1
         return f
 
-    def conjunction(self) -> Formula:
-        f = self.negation()
-        while self.peek().text == "&":
-            self.next()
-            f = And(f, self.negation())
-        return f
-
-    def negation(self) -> Formula:
+    def prefix(self) -> Formula:
         t = self.peek()
         if t.text == "~":
             self.next()
-            return Not(self.negation())
-        if t.kind == "kw" and t.text in ("ex2", "all2", "ex1", "all1"):
+            return Not(self.formula(_NOT_LEVEL))
+        if t.text == "(":
+            self.next()
+            f = self.formula()
+            self.expect(")")
+            return f
+        if t.kind == "kw" and t.text in _QUANTIFIERS:
             return self.quantified()
         return self.atomic()
 
     def quantified(self) -> Formula:
         t = self.next()
-        want_upper = t.text in ("ex2", "all2")
-        ctor = {"ex2": ExistsSet, "all2": ForallSet,
-                "ex1": ExistsAtom, "all1": ForallAtom}[t.text]
+        ctor = _QUANTIFIERS[t.text]
+        want_upper = ctor in (ExistsSet, ForallSet)
         names: list[str] = []
         while self.peek().kind == "name":
             v = self.next()
@@ -137,11 +152,6 @@ class _Parser:
 
     def atomic(self) -> Formula:
         t = self.peek()
-        if t.text == "(":
-            self.next()
-            f = self.formula()
-            self.expect(")")
-            return f
         if t.kind == "kw":
             if t.text == "true":
                 self.next()
@@ -159,16 +169,14 @@ class _Parser:
         is_container = ((t.kind == "name" and t.text[0].isupper())
                         or (t.kind == "kw" and t.text == "bot"))
         if is_container and self.tokens[self.i + 1].text == "(":
-            container: Term = Bot() if t.text == "bot" else SetVar(t.text)
+            container: Term = BOT if t.text == "bot" else SetVar(t.text)
             self.next()
             self.next()
             v = self.peek()
             if v.kind == "name" and v.text[0].islower():
                 elem: Term = AtomVar(v.text)
-            elif v.text == "min":
-                elem = MIN
-            elif v.text == "max":
-                elem = MAX
+            elif v.text in ("min", "max"):
+                elem = _CONSTANTS[v.text]
             else:
                 raise ParseError(f"membership argument must be atom-sorted, got {v.text!r}", v.pos)
             self.next()
@@ -189,16 +197,9 @@ class _Parser:
 
     def term(self) -> Term:
         t = self.peek()
-        if t.kind == "kw":
-            if t.text == "bot":
-                self.next()
-                return BOT
-            if t.text == "min":
-                self.next()
-                return MIN
-            if t.text == "max":
-                self.next()
-                return MAX
+        if t.kind == "kw" and t.text in _CONSTANTS:
+            self.next()
+            return _CONSTANTS[t.text]
         if t.kind == "name":
             self.next()
             return SetVar(t.text) if t.text[0].isupper() else AtomVar(t.text)
@@ -214,7 +215,8 @@ def parse(text: str) -> Formula:
     return f
 
 
-_LEVEL_IFF, _LEVEL_IMP, _LEVEL_OR, _LEVEL_AND, _LEVEL_NOT = 1, 2, 3, 4, 5
+_QUANTIFIER_TEXT = {node: kw for kw, node in _QUANTIFIERS.items()}
+_CONSTANT_TEXT = {term: kw for kw, term in _CONSTANTS.items()}
 
 
 def format_formula(f: Formula) -> str:
@@ -238,23 +240,15 @@ def _fmt(f: Formula, level: int) -> str:
     if isinstance(f, Mem):
         return f"{_fmt_term(f.container)}({_fmt_term(f.atom)})"
     if isinstance(f, Not):
-        return _wrap(f"~{_fmt(f.body, _LEVEL_NOT)}", _LEVEL_NOT, level)
-    if isinstance(f, And):
-        return _wrap(f"{_fmt(f.left, _LEVEL_AND)} & {_fmt(f.right, _LEVEL_AND + 1)}",
-                     _LEVEL_AND, level)
-    if isinstance(f, Or):
-        return _wrap(f"{_fmt(f.left, _LEVEL_OR)} | {_fmt(f.right, _LEVEL_OR + 1)}",
-                     _LEVEL_OR, level)
-    if isinstance(f, Implies):
-        return _wrap(f"{_fmt(f.left, _LEVEL_IMP + 1)} -> {_fmt(f.right, _LEVEL_IMP)}",
-                     _LEVEL_IMP, level)
-    if isinstance(f, Iff):
-        return _wrap(f"{_fmt(f.left, _LEVEL_IFF + 1)} <-> {_fmt(f.right, _LEVEL_IFF)}",
-                     _LEVEL_IFF, level)
-    if isinstance(f, (ExistsSet, ForallSet, ExistsAtom, ForallAtom)):
-        kw = {ExistsSet: "ex2", ForallSet: "all2",
-              ExistsAtom: "ex1", ForallAtom: "all1"}[type(f)]
-        return _wrap(f"{kw} {f.var}. {_fmt(f.body, 0)}", 0, level)
+        return _wrap(f"~{_fmt(f.body, _NOT_LEVEL)}", _NOT_LEVEL, level)
+    if type(f) in _BY_NODE:
+        mine, tok, right = _BY_NODE[type(f)]
+        # the operand on the associative side may hold the same connective
+        left_level, right_level = (mine + 1, mine) if right else (mine, mine + 1)
+        return _wrap(f"{_fmt(f.left, left_level)} {tok} {_fmt(f.right, right_level)}",
+                     mine, level)
+    if type(f) in _QUANTIFIER_TEXT:
+        return _wrap(f"{_QUANTIFIER_TEXT[type(f)]} {f.var}. {_fmt(f.body, 0)}", 0, level)
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -265,10 +259,6 @@ def _wrap(text: str, mine: int, context: int) -> str:
 def _fmt_term(t: Term) -> str:
     if isinstance(t, (SetVar, AtomVar)):
         return t.name
-    if isinstance(t, Bot):
-        return "bot"
-    if isinstance(t, MinAtom):
-        return "min"
-    if isinstance(t, MaxAtom):
-        return "max"
+    if isinstance(t, (Bot, MinAtom, MaxAtom)):
+        return _CONSTANT_TEXT[t]
     raise TypeError(f"not a term: {t!r}")

@@ -5,17 +5,20 @@ at(x) & x sub X, an atom binder becomes a set binder over a fresh
 uppercase name guarded by at(.), and each min/max occurrence inside an
 atomic formula is replaced by a fresh guarded witness (an atom with no
 atom strictly below, respectively above, it) scoped at that atomic
-formula.  Fresh names come from a deterministic counter that skips every
-identifier of the input.
+formula.  One pass does all of it, carrying a map from each atom-sorted
+term in scope to the set variable that replaces it.  Fresh names come
+from ``fresh_names``, which skips every identifier of the input; they are
+drawn binder-first, so an outer binder gets a smaller number than the
+binders inside its body.
 """
 
 from __future__ import annotations
 
-from .nodes import (And, At, AtomVar, Eq, Exle, ExistsAtom, ExistsSet,
-                    ForallAtom, ForallSet, Formula, Iff, Implies, MAX, MIN,
-                    MaxAtom, Mem, MinAtom, Not, SetVar, Subset,
+from .nodes import (And, At, AtomVar, Exle, ExistsAtom, ExistsSet,
+                    ForallAtom, ForallSet, Formula, Implies, MAX, MIN,
+                    MaxAtom, Mem, MinAtom, Not, SetVar, Subset, Term,
                     all_identifiers, fresh_names, is_sentence, rebuild,
-                    subformulas, substitute_term, terms_of)
+                    subformulas, terms_of)
 
 
 def is_desugared(f: Formula) -> bool:
@@ -27,43 +30,33 @@ def is_desugared(f: Formula) -> bool:
 
 
 def desugar(f: Formula) -> Formula:
-    fresh = fresh_names(f, upper=True)
-    return _desugar(f, fresh)
+    return _desugar(f, fresh_names(all_identifiers(f)), {})
 
 
-def _desugar(f: Formula, fresh) -> Formula:
-    if isinstance(f, ExistsAtom):
-        body = _desugar(f.body, fresh)
+def _desugar(f: Formula, fresh, names: dict[Term, SetVar]) -> Formula:
+    if isinstance(f, (ExistsAtom, ForallAtom)):
         v = SetVar(next(fresh))
-        body = substitute_term(body, AtomVar(f.var), v)
-        return ExistsSet(v.name, And(At(v), body))
-    if isinstance(f, ForallAtom):
-        body = _desugar(f.body, fresh)
-        v = SetVar(next(fresh))
-        body = substitute_term(body, AtomVar(f.var), v)
+        body = _desugar(f.body, fresh, {**names, AtomVar(f.var): v})
+        if isinstance(f, ExistsAtom):
+            return ExistsSet(v.name, And(At(v), body))
         return ForallSet(v.name, Implies(At(v), body))
+    if isinstance(f, Mem):
+        return _desugar(And(At(f.atom), Subset(f.atom, f.container)), fresh, names)
     kids = subformulas(f)
     if kids:
-        return rebuild(f, tuple(_desugar(g, fresh) for g in kids))
-    return _desugar_atomic(f, fresh)
-
-
-def _desugar_atomic(f: Formula, fresh) -> Formula:
-    if isinstance(f, Mem):
-        f = And(At(f.atom), Subset(f.atom, f.container))
-        return _desugar(f, fresh)
+        return rebuild(f, tuple(_desugar(g, fresh, names) for g in kids))
     terms = terms_of(f)
-    if any(isinstance(t, MinAtom) for t in terms):
-        v = SetVar(next(fresh))
-        core = substitute_term(f, MIN, v)
-        return ExistsSet(v.name, And(_endpoint_guard(v, fresh, smallest=True),
-                                     _desugar_atomic(core, fresh)))
-    if any(isinstance(t, MaxAtom) for t in terms):
-        v = SetVar(next(fresh))
-        core = substitute_term(f, MAX, v)
-        return ExistsSet(v.name, And(_endpoint_guard(v, fresh, smallest=False),
-                                     _desugar_atomic(core, fresh)))
-    return f
+    # each of min and max gets one guarded witness, min's outermost
+    guards = []
+    for c in (MIN, MAX):
+        if c in terms:
+            v = SetVar(next(fresh))
+            names = {**names, c: v}
+            guards.append((v, _endpoint_guard(v, fresh, smallest=c == MIN)))
+    out = type(f)(*(names.get(t, t) for t in terms)) if terms else f
+    for v, guard in reversed(guards):
+        out = ExistsSet(v.name, And(guard, out))
+    return out
 
 
 def _endpoint_guard(v: SetVar, fresh, smallest: bool) -> Formula:
@@ -72,58 +65,24 @@ def _endpoint_guard(v: SetVar, fresh, smallest: bool) -> Formula:
     return And(At(v), Not(ExistsSet(w.name, And(At(w), below))))
 
 
-def relativize(f: Formula, var: str, mode: str) -> Formula:
-    """Restrict a sentence to a substructure.
-
-    mode "element": the sentence evaluated inside the downward-closed world
-    of subsets of the set variable ``var`` (which must not occur in f, and
-    f must be a desugared sentence).
-
-    mode "below_atom": the sentence evaluated on the strict predecessors of
-    the atom variable ``var``; the result has that variable free.
-    """
-    if mode == "element":
-        return relativize_to_element(f, var)
-    if mode == "below_atom":
-        return relativize_below_atom(f, var)
-    raise ValueError(f"unknown relativization mode: {mode!r}")
-
-
-def relativize_to_element(f: Formula, var: str) -> Formula:
+def relativize(f: Formula, var: str) -> Formula:
+    """The desugared sentence f evaluated inside the downward-closed world
+    of subsets of the set variable ``var``, which must not occur in f."""
     if not is_sentence(f):
         raise ValueError("relativization needs a sentence")
     if not is_desugared(f):
         raise ValueError("relativization needs desugared input")
-    bound = SetVar(var)
-    return _rel(f, bound)
+    return _rel(f, SetVar(var))
 
 
 def _rel(f: Formula, bound: SetVar) -> Formula:
-    if isinstance(f, ExistsSet):
+    if isinstance(f, (ExistsSet, ForallSet)):
         if f.var == bound.name:
             raise ValueError(f"relativization variable {bound.name!r} occurs in the sentence")
-        return ExistsSet(f.var, And(Subset(SetVar(f.var), bound), _rel(f.body, bound)))
-    if isinstance(f, ForallSet):
-        if f.var == bound.name:
-            raise ValueError(f"relativization variable {bound.name!r} occurs in the sentence")
-        return ForallSet(f.var, Implies(Subset(SetVar(f.var), bound), _rel(f.body, bound)))
+        guard = Subset(SetVar(f.var), bound)
+        link = And if isinstance(f, ExistsSet) else Implies
+        return type(f)(f.var, link(guard, _rel(f.body, bound)))
     kids = subformulas(f)
     if kids:
         return rebuild(f, tuple(_rel(g, bound) for g in kids))
     return f
-
-
-def relativize_below_atom(f: Formula, var: str) -> Formula:
-    if not is_sentence(f):
-        raise ValueError("relativization needs a sentence")
-    if not is_desugared(f):
-        raise ValueError("relativization needs desugared input")
-    x = AtomVar(var)
-    used = set(all_identifiers(f)) | {var}
-    w = next(f"X{i}" for i in range(len(used) + 1) if f"X{i}" not in used)
-    z = next(f"x{i}" for i in range(len(used) + 1) if f"x{i}" not in used)
-    world = SetVar(w)
-    zb = AtomVar(z)
-    footprint = ForallAtom(z, Iff(Mem(zb, world),
-                                  And(Exle(zb, x), Not(Eq(zb, x)))))
-    return ExistsSet(w, And(footprint, relativize_to_element(f, w)))

@@ -81,13 +81,21 @@ class UPSet:
                 break
         if not res:
             d = 1
-        n = self.threshold
-        while n > 0:
-            x = n - 1
-            if (x in self.init) == ((x % d) in res):
-                n = x
-            else:
-                break
+        # The least threshold lies just above the last x below the current
+        # one where init disagrees with the periodic tail: an init member
+        # outside the residues, or the top non-member of a residue class.
+        # Plain loops: most inputs have a few members, where a generator
+        # and max() would cost more than the scan.
+        n = 0
+        for x in self.init:
+            if x >= n and x % d not in res:
+                n = x + 1
+        for r in res:
+            x = self.threshold - 1 - (self.threshold - 1 - r) % d
+            while x in self.init:
+                x -= d
+            if x >= n:
+                n = x + 1
         return UPSet(n, d, frozenset(x for x in self.init if x < n), res)
 
     def complement(self) -> "UPSet":

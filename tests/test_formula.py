@@ -10,7 +10,8 @@ from finord import (FALSE, MAX, MIN, TRUE, And, At, AtomVar, Bot, Eq,
                     build_sum, check_sorts, conj, desugar, disj,
                     format_formula, free_set_vars, free_vars, is_desugared,
                     is_sentence, parse, quantifier_depths, relativize,
-                    slow_evaluate)
+                    slow_evaluate, spectrum)
+from finord import cli
 
 
 def test_parse_basic_shapes():
@@ -49,6 +50,32 @@ def test_parse_errors():
                 "ex1 X. true", "@", "all2. true", "X(Y)", ""]:
         with pytest.raises(ParseError):
             parse(bad)
+
+
+TOO_DEEP = {"negations": "~" * 3000 + "true",
+            "parentheses": "(" * 200 + "true" + ")" * 200,
+            "atom binders": "ex1 x. " * 200 + "true"}
+
+
+@pytest.mark.parametrize("case", list(TOO_DEEP))
+def test_too_deep_nesting_is_a_parse_error(case, capsys):
+    text = TOO_DEEP[case]
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse(text)
+    assert cli.main(["eval", "--n", "1", text]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "nested deeper" in err
+
+
+def test_nesting_at_the_limit_parses_and_compiles():
+    assert parse("(" * 150 + "true" + ")" * 150) == TRUE
+    psi = build_psi("eq", 40)
+    assert parse(format_formula(psi)) == psi
+    # an atom binder desugars to two nodes, the deepest shape per level
+    chain = parse("".join(f"ex1 x{i}. " for i in range(150)) + "true")
+    assert spectrum(chain) == spectrum(parse("ex1 x. true"))
 
 
 def test_roundtrip_on_corpus():
@@ -98,6 +125,18 @@ def test_desugar_preserves_semantics():
                 assert slow_evaluate(m, f, env) == slow_evaluate(m, d, env)
 
 
+def test_desugar_rebinds_a_shadowed_atom_name():
+    # the inner binder reuses x: its body must see its own witness set
+    f = parse("ex1 x. X(x) & (ex1 x. ~X(x))")
+    d = desugar(f)
+    for n in range(4):
+        m = FiniteModel(n)
+        truth = [slow_evaluate(m, f, {"X": x}) for x in range(1 << n)]
+        assert [slow_evaluate(m, d, {"X": x}) for x in range(1 << n)] == truth
+        if n == 2:
+            assert truth == [False, True, True, False]
+
+
 def test_quantifier_depths():
     assert quantifier_depths(TRUE) == (0, 0)
     assert quantifier_depths(parse("ex2 X. ex1 x. all2 Y. true")) == (2, 1)
@@ -139,17 +178,15 @@ def test_builder_argument_validation():
 
 def test_relativize_validation():
     with pytest.raises(ValueError):
-        relativize(TRUE, "X", "sideways")
+        relativize(parse("ex1 x. true"), "X")  # sugared
     with pytest.raises(ValueError):
-        relativize(parse("ex1 x. true"), "X", "element")  # sugared
-    with pytest.raises(ValueError):
-        relativize(desugar(parse("ex2 X. at(X)")), "X", "element")
+        relativize(desugar(parse("ex2 X. at(X)")), "X")
 
 
 def test_relativize_element_semantics():
     # "some atom exists" relativized to X == "X is nonempty", over subsets
     f = desugar(parse("ex2 Z. at(Z) & Z sub Z"))
-    rel = relativize(f, "X", "element")
+    rel = relativize(f, "X")
     assert free_set_vars(rel) == frozenset({"X"})
     m = FiniteModel(3)
     for x in range(8):

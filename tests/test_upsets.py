@@ -73,6 +73,45 @@ def test_canonicalize_properties():
             assert c.member(t) != ((t % c.period) in c.residues)
 
 
+def _canonicalize_stepwise(s):
+    """The canonical form with the threshold lowered one step at a time,
+    as long as the position below it agrees with the periodic tail."""
+    c = s.canonicalize()
+    d, res = c.period, c.residues
+    n = s.threshold
+    while n > 0 and ((n - 1) in s.init) == (((n - 1) % d) in res):
+        n -= 1
+    return UPSet(n, d, frozenset(x for x in s.init if x < n), res)
+
+
+def test_canonicalize_threshold_matches_stepwise():
+    rng = random.Random(43)
+    for i in range(3000):
+        if i % 2:
+            s = _random_upset(rng, max_n=30, max_d=8)
+        else:
+            # init mostly follows the tail, so long agreeing runs occur
+            n, d = rng.randrange(0, 60), rng.randrange(1, 9)
+            res = frozenset(r for r in range(d) if rng.random() < 0.5)
+            init = frozenset(x for x in range(n)
+                             if ((x % d) in res) != (rng.random() < 0.05))
+            s = UPSet(n, d, init, res)
+        assert s.canonicalize() == _canonicalize_stepwise(s), s
+
+
+def test_canonicalize_huge_threshold():
+    # the threshold is found from the last disagreement, not by stepping
+    big = 10 ** 12
+    text = f"UP(init={{}};N={big};d=1;res={{}})"
+    with pytest.raises(ValueError):
+        parse_upset(text, require_canonical=True)
+    assert parse_upset(text).canonicalize() == UPSet.empty()
+    s = UPSet(big, 2, frozenset([big - 1, big - 3]), frozenset([1]))
+    assert s.canonicalize() == UPSet(big - 4, 2, frozenset(), frozenset([1]))
+    s = UPSet(big, 1, frozenset([big - 1]), frozenset([0]))
+    assert s.canonicalize() == UPSet(big - 1, 1, frozenset(), frozenset([0]))
+
+
 def test_boolean_ops():
     rng = random.Random(43)
     for _ in range(150):
