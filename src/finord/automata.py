@@ -4,8 +4,9 @@ A word of length n over {0,1}^w encodes an n-atom order together with one
 subset of its positions per track: letter bit j (value ``(letter >> j) & 1``)
 says whether position i belongs to the set named ``tracks[j]``.  Boolean
 combinations, track projection, minimization, equivalence, unary
-concatenation, and lasso extraction are provided; every operation returns a
-complete automaton and respects a configurable state cap.
+concatenation (a projection of split words), and lasso extraction are
+provided; every operation returns a complete automaton and respects a
+configurable state cap.
 """
 
 from __future__ import annotations
@@ -257,41 +258,24 @@ def equivalent(a: Dfa, b: Dfa, *, cap: int | None = None) -> bool:
 
 def concat(a: Dfa, b: Dfa, *, cap: int | None = None) -> Dfa:
     """Concatenation of two sentence (zero-track) languages; on unary
-    alphabets this realizes addition of accepted lengths."""
+    alphabets this realizes addition of accepted lengths.  One automaton
+    over a track "T" accepts the splits 1^x 0^y with x accepted by a and y
+    by b (a reads the 1s, b the 0s, and one dead state takes every other
+    word); projecting "T" away is the subset construction."""
     if a.width != 0 or b.width != 0:
         raise ValueError("concatenation is defined for zero-track automata")
-    cap = effective_state_cap(cap)
-    # NFA over states (0, s) from a and (1, t) from b; entering an accepting
-    # a-state spawns b's initial state.
-    def close(states: frozenset) -> frozenset:
-        if any(side == 0 and s in a.accepting for side, s in states):
-            return states | {(1, b.initial)}
-        return states
-
-    start = close(frozenset([(0, a.initial)]))
-    index = {start: 0}
-    order = [start]
-    rows: list[tuple[int, ...]] = []
-    frontier = 0
-    while frontier < len(order):
-        subset = order[frontier]
-        frontier += 1
-        moved = frozenset((side, (a if side == 0 else b).transitions[s][0])
-                          for side, s in subset)
-        nxt = close(moved)
-        at = index.get(nxt)
-        if at is None:
-            at = len(order)
-            if at >= cap:
-                raise ResourceLimitError(
-                    f"concatenation exceeds state cap {cap}")
-            index[nxt] = at
-            order.append(nxt)
-        rows.append((at,))
-    accepting = frozenset(i for i, subset in enumerate(order)
-                          if any(side == 1 and s in b.accepting
-                                 for side, s in subset))
-    return minimize(Dfa((), tuple(rows), accepting, 0))
+    na = a.n_states
+    dead = na + b.n_states
+    enter_b = na + b.transitions[b.initial][0]
+    # rows are (successor on letter 0, successor on letter 1)
+    rows = [(enter_b if s in a.accepting else dead, row[0])
+            for s, row in enumerate(a.transitions)]
+    rows += [(na + row[0], dead) for row in b.transitions]
+    rows.append((dead, dead))
+    accepting = {na + t for t in b.accepting}
+    if b.initial in b.accepting:
+        accepting |= a.accepting
+    return project(Dfa(("T",), rows, accepting, a.initial), "T", cap=cap)
 
 
 def lasso_spectrum(a: Dfa) -> UPSet:

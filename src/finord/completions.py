@@ -6,17 +6,20 @@ described by a residue function (``Inf(spec)``): a coherent choice of
 ``r(p, j) mod p^j`` per prime power, stored at the maximal power per prime.
 ``ZeroShift(c)`` is the everywhere-defined function ``d ↦ c mod d``; partial
 tables describe families of points, and questions they cannot settle come
-back ``UNDETERMINED`` rather than defaulting.
+back ``UNDETERMINED`` rather than defaulting.  Every reader decodes a table
+through ``_levels``, which checks it and keeps its keys below 2^32.  At an
+infinite point a sentence holds when the point's residue modulo the period
+of its canonical spectrum is one of the spectrum's residues.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
 from .compiler import spectrum
-from .formula.nodes import Formula, Not
-from .upsets import UPSet, to_normal_form
+from .formula.nodes import Formula
+from .upsets import UPSet
 
 
 class Undetermined:
@@ -96,55 +99,54 @@ class Inf(TypePoint):
             raise ValueError("Inf needs a ResidueSpec")
 
 
+# Table keys are factored by trial division, so they stay below this bound:
+# the largest prime below it takes about 10 ms.
+_MAX_KEY = 2 ** 32
+
+
 def _prime_power(k: int) -> tuple[int, int] | None:
     """(p, j) with k = p**j, or None if k is not a prime power."""
     if k < 2:
         return None
-    factors = _factorize(k)
-    return next(iter(factors.items())) if len(factors) == 1 else None
+    p = next((q for q in range(2, isqrt(k) + 1) if k % q == 0), k)
+    j = 0
+    while k % p == 0:
+        k //= p
+        j += 1
+    return (p, j) if k == 1 else None
 
 
-def _factorize(d: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    m = d
-    q = 2
-    while q * q <= m:
-        while m % q == 0:
-            out[q] = out.get(q, 0) + 1
-            m //= q
-        q += 1
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
-    return out
+def _levels(spec: ResidueSpec) -> dict[int, tuple[int, int]]:
+    """A table decoded as {prime: (exponent, residue)} in ascending prime
+    order; ValueError at the first broken invariant."""
+    if not isinstance(spec, Table):
+        raise ValueError(f"unknown spec variant {type(spec).__name__}")
+    levels = {}
+    for key, value in spec.entries:
+        if key >= _MAX_KEY:
+            raise ValueError(f"key {key} is not below the key bound 2^32")
+        pp = _prime_power(key)
+        if pp is None:
+            raise ValueError(f"key {key} is not a prime power")
+        p, j = pp
+        if p in levels:
+            raise ValueError(f"prime {p} stored more than once")
+        if not 0 <= value < key:
+            raise ValueError(f"residue {value} not reduced modulo {key}")
+        levels[p] = (j, value)
+    return dict(sorted(levels.items()))
 
 
 def validate(spec: ResidueSpec) -> list[str]:
-    """Invariant violations as human-readable strings; empty means ok."""
+    """The first invariant violation as a human-readable string; empty
+    means ok."""
     if isinstance(spec, ZeroShift):
         return []
-    if not isinstance(spec, Table):
-        return [f"unknown spec variant {type(spec).__name__}"]
-    problems = []
-    primes_seen: set[int] = set()
-    for key, value in spec.entries:
-        pp = _prime_power(key)
-        if pp is None:
-            problems.append(f"key {key} is not a prime power")
-            continue
-        p, _j = pp
-        if p in primes_seen:
-            problems.append(f"prime {p} stored more than once")
-        primes_seen.add(p)
-        if not 0 <= value < key:
-            problems.append(f"residue {value} not reduced modulo {key}")
-    return problems
-
-
-def _checked(spec: ResidueSpec) -> ResidueSpec:
-    problems = validate(spec)
-    if problems:
-        raise ValueError("invalid residue table: " + "; ".join(problems))
-    return spec
+    try:
+        _levels(spec)
+    except ValueError as exc:
+        return [str(exc)]
+    return []
 
 
 def crt_solve(congruences) -> int:
@@ -169,22 +171,19 @@ def residue_extend(spec: ResidueSpec, d: int):
     needed prime-power coverage."""
     if not isinstance(d, int) or d <= 1:
         raise ValueError("modulus must exceed 1")
-    _checked(spec)
     if isinstance(spec, ZeroShift):
         return spec.c % d
-    stored = {}
-    for key, value in spec.entries:
-        p, j = _prime_power(key)
-        stored[p] = (j, value)
+    # divide d by the stored primes only: what is left is uncovered
     congruences = []
-    for p, e in _factorize(d).items():
-        if p not in stored:
-            return UNDETERMINED
-        j, value = stored[p]
-        if j < e:
+    for p, (j, value) in _levels(spec).items():
+        e = 0
+        while d % p == 0:
+            d //= p
+            e += 1
+        if e > j:
             return UNDETERMINED
         congruences.append((p ** e, value % p ** e))
-    return crt_solve(congruences)
+    return crt_solve(congruences) if d == 1 else UNDETERMINED
 
 
 def rep(v: int, d: int) -> int:
@@ -201,19 +200,18 @@ def point_models(point: TypePoint, f: Formula, *, cap: int | None = None):
         return s.member(point.n)
     if not isinstance(point, Inf):
         raise ValueError(f"unknown point variant {type(point).__name__}")
-    nf = to_normal_form(s)
-    if nf.period == 1:
-        return 1 in nf.classes
-    v = residue_extend(point.spec, nf.period)
+    # an infinite point lies beyond every threshold of the canonical set
+    v = 0 if s.period == 1 else residue_extend(point.spec, s.period)
     if v is UNDETERMINED:
         return UNDETERMINED
-    return rep(v, nf.period) in nf.classes
+    return v in s.residues
 
 
 def _shift(spec: ResidueSpec, m: int) -> ResidueSpec:
     if isinstance(spec, ZeroShift):
         return ZeroShift(spec.c + m)
-    return Table(tuple((key, (value + m) % key) for key, value in spec.entries))
+    return Table({p ** j: (value + m) % p ** j
+                  for p, (j, value) in _levels(spec).items()})
 
 
 def point_mul(p: TypePoint, q: TypePoint) -> TypePoint:
@@ -222,28 +220,22 @@ def point_mul(p: TypePoint, q: TypePoint) -> TypePoint:
     each prime's common power level."""
     if isinstance(p, Fin) and isinstance(q, Fin):
         return Fin(p.n + q.n)
-    if isinstance(p, Fin):
-        return Inf(_shift(_checked(q.spec), p.n))
-    if isinstance(q, Fin):
-        return Inf(_shift(_checked(p.spec), q.n))
-    s, t = _checked(p.spec), _checked(q.spec)
-    if isinstance(s, ZeroShift) and isinstance(t, ZeroShift):
-        return Inf(ZeroShift(s.c + t.c))
-    if isinstance(s, ZeroShift):
-        return Inf(_shift(t, s.c))
-    if isinstance(t, ZeroShift):
-        return Inf(_shift(s, t.c))
-    left = {_prime_power(key)[0]: (_prime_power(key)[1], value)
-            for key, value in s.entries}
-    entries = []
-    for key, value in t.entries:
-        prime, level = _prime_power(key)
-        if prime not in left:
-            continue
-        other_level, other_value = left[prime]
-        k = prime ** min(level, other_level)
-        entries.append((k, (value + other_value) % k))
-    return Inf(Table(tuple(entries)))
+    # the product commutes, so a finite side, and then a total residue
+    # function, shifts whatever stands on the other side
+    for a, b in ((p, q), (q, p)):
+        if isinstance(a, Fin):
+            return Inf(_shift(b.spec, a.n))
+    for a, b in ((p, q), (q, p)):
+        if isinstance(a.spec, ZeroShift):
+            return Inf(_shift(b.spec, a.spec.c))
+    left = _levels(p.spec)
+    entries = {}
+    for prime, (level, value) in _levels(q.spec).items():
+        if prime in left:
+            other_level, other_value = left[prime]
+            k = prime ** min(level, other_level)
+            entries[k] = (value + other_value) % k
+    return Inf(Table(entries))
 
 
 def pseudofinite_valid(f: Formula, *, cap: int | None = None) -> bool:
@@ -267,13 +259,8 @@ def format_point(point: TypePoint) -> str:
         if isinstance(spec, ZeroShift):
             return f"inf:zero+{spec.c}"
         if isinstance(spec, Table):
-            _checked(spec)
-            parts = []
-            for key, value in sorted(spec.entries,
-                                     key=lambda e: _prime_power(e[0])[0]):
-                p, j = _prime_power(key)
-                parts.append(f"{p}^{j}={value}")
-            return "inf:" + ";".join(parts)
+            return "inf:" + ";".join(f"{p}^{j}={value}" for p, (j, value)
+                                     in _levels(spec).items())
     raise ValueError(f"cannot serialize {point!r}")
 
 
@@ -295,6 +282,9 @@ def parse_point(text: str) -> TypePoint:
             if not eq or not caret or not value:
                 raise ValueError(f"malformed table entry: {part!r}")
             p, j = _nat(base), _nat(exponent)
+            # the exponent first, so that no huge power is ever computed
+            if j >= _MAX_KEY.bit_length() or p ** j >= _MAX_KEY:
+                raise ValueError(f"key {head} is not below the key bound 2^32")
             entries.append((p ** j, _nat(value)))
     point = Inf(Table(tuple(entries)))
     if format_point(point) != body:

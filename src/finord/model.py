@@ -9,7 +9,8 @@ with numpy: each open variable contributes one table axis (2^n values for a
 set variable, n for an atom variable) and quantifiers reduce their axis.
 Over large tables an atom quantifier instead folds one atom at a time,
 stopping once the answer is settled, so that no table widens by n.
-Costs are exponential and guarded by explicit limits.
+Costs are exponential and guarded by explicit limits, and at most 32
+binders may be open at once.
 
 ``slow_evaluate`` is the same semantics as direct recursion over any finite
 structure object; it exists to cross-check ``evaluate`` and to interpret
@@ -33,6 +34,8 @@ DEFAULT_MAX_N = 10
 DEFAULT_MAX_SET_DEPTH = 4
 DEFAULT_MAX_CELLS = 2 ** 30
 _SLICE_CELLS = 2 ** 18
+# Each binder opens one table axis, and numpy before 2.0 allows 32 axes.
+_MAX_AXES = 32
 
 # A binding is (name, axis, values): the variable ranges over the int64
 # array `values`, laid along table axis `axis`.  A folding atom quantifier
@@ -196,6 +199,9 @@ class _Evaluator:
         axis: in one piece, or, for an atom whose estimated live table
         exceeds _SLICE_CELLS, one atom at a time until the answer is
         settled."""
+        if naxes >= _MAX_AXES:
+            raise ResourceLimitError(
+                f"binder nesting {naxes + 1} exceeds limit {_MAX_AXES}")
         exists = isinstance(f, (ExistsSet, ExistsAtom))
         is_set = isinstance(f, (ExistsSet, ForallSet))
         values = self.set_values if is_set else self.atom_values

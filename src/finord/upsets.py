@@ -138,19 +138,15 @@ def minkowski_sum(a: UPSet, b: UPSet) -> UPSet:
 
 
 def brute_force_oracle(a: UPSet, b: UPSet) -> set[int]:
-    """Pairwise sums of members, correct below N_a + N_b + 4*d_a*d_b.
-
-    Both inputs are taken canonically; the returned set contains exactly the
-    sums below that bound.
-    """
-    ca, cb = a.canonicalize(), b.canonicalize()
-    bound = ca.threshold + cb.threshold + 4 * ca.period * cb.period
-    xs = ca.members_upto(bound)
-    ys = cb.members_upto(bound)
-    return {x + y for x in xs for y in ys if x + y < bound}
+    """Every pairwise sum of members below minkowski_validity_bound(a, b),
+    the range in which brute force settles the Minkowski sum."""
+    bound = minkowski_validity_bound(a, b)
+    ys = b.members_upto(bound)
+    return {x + y for x in a.members_upto(bound) for y in ys if x + y < bound}
 
 
 def minkowski_validity_bound(a: UPSet, b: UPSet) -> int:
+    """N_a + N_b + 4*d_a*d_b over the canonical forms of a and b."""
     ca, cb = a.canonicalize(), b.canonicalize()
     return ca.threshold + cb.threshold + 4 * ca.period * cb.period
 

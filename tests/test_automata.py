@@ -215,6 +215,9 @@ def test_state_cap():
         combine(all_x(), some_x(), "and", cap=1)
     with pytest.raises(ResourceLimitError):
         project(all_x(), "X", cap=1)
+    with pytest.raises(ResourceLimitError):
+        concat(unary_dfa(UPSet(2, 1, {0}, {0})), unary_dfa(UPSet.naturals()),
+               cap=1)
 
 
 def test_state_cap_message_names_stage_and_width():

@@ -101,6 +101,15 @@ def test_domain_errors_exit_1(capsys, tmp_path):
     # bad point serialization
     code, _, err = run(capsys, "decide", "--point", "fin:-1", "true")
     assert code == 1 and err.startswith("error:")
+    # table keys at or past 2^32 (here 2^30000000 and the prime 2^61 - 1)
+    # are refused before they are computed or factored
+    for point in ("inf:2^30000000=0", "inf:2305843009213693951^1=0"):
+        code, _, err = run(capsys, "decide", "--point", point, "true")
+        assert code == 1 and err.startswith("error:") and "2^32" in err
+        assert err.count("\n") == 1
+    # more nested binders than the evaluator has table axes
+    code, _, err = run(capsys, "eval", "--n", "2", "~ex1 x. " * 33 + "true")
+    assert code == 1 and err.startswith("error:") and "limit 32" in err
     # a formula file that is missing, or is not UTF-8 text
     latin1 = tmp_path / "latin1.txt"
     latin1.write_bytes(b"ex1 x. true\xe9\n")

@@ -10,7 +10,6 @@ from finord import (UNDETERMINED, Fin, Inf, Not, Table, UPSet, ZeroShift,
                     parse_point, point_models, point_mul, pseudofinite_valid,
                     rep, residue_extend, satisfiable_witness, spectrum,
                     validate)
-from finord.completions import _checked
 
 from corpus import CORPUS_BY_NAME
 
@@ -30,8 +29,13 @@ def test_validate():
     assert validate(Table({6: 1}))          # 6 is not a prime power
     assert validate(Table({1: 0}))
     assert validate(Table(((2, 1), (4, 3))))  # two entries for prime 2
-    with pytest.raises(ValueError):
-        _checked(Table({6: 1}))
+    assert validate(Table({2 ** 61 - 1: 0}))  # a prime beyond the key bound
+    bad = Table({6: 1})
+    for call in (lambda: residue_extend(bad, 2),
+                 lambda: point_mul(Fin(1), Inf(bad)),
+                 lambda: format_point(Inf(bad))):
+        with pytest.raises(ValueError):
+            call()
     with pytest.raises(ValueError):
         ZeroShift(-1)
     with pytest.raises(ValueError):
@@ -210,9 +214,12 @@ def test_parse_point_rejects():
 def test_spectrum_clopen_consistency():
     # a point's verdict on a sentence only depends on the spectrum
     pts = [Fin(1), Fin(6), Inf(ZeroShift(0)), Inf(ZeroShift(1)),
-           Inf(Table({2: 1})), Inf(Table({2: 0}))]
-    for name in ("rho_2_2", "psi_gt_1", "rho_3_1", "axiom_order_total"):
-        f = CORPUS_BY_NAME[name]
+           Inf(Table({2: 1})), Inf(Table({2: 0})), Inf(Table({8: 5, 9: 2})),
+           Inf(Table({4: 1, 3: 2, 5: 0}))]
+    sentences = [CORPUS_BY_NAME[name] for name in
+                 ("rho_2_2", "psi_gt_1", "rho_3_1", "axiom_order_total")]
+    sentences += [build_rho(4, h) for h in range(1, 5)] + [build_rho(6, 5)]
+    for f in sentences:
         for p in pts:
             assert point_models(p, f) == _models_via_spectrum(p, spectrum(f))
 

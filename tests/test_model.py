@@ -139,6 +139,18 @@ def test_resource_guards():
         evaluate(FiniteModel(6), build_rho(3, 1), max_cells=1 << 10)
 
 
+def test_open_binder_limit():
+    # one table axis per open binder: 32 still evaluate, a 33rd is refused
+    def nested(k):
+        binders = "".join(f"ex1 x{i}. " for i in range(1, k + 1))
+        return parse(binders + f"x1 << x{k}")
+    for n in range(4):
+        m = FiniteModel(n)
+        assert evaluate(m, nested(32)) == slow_evaluate(m, nested(32))
+    with pytest.raises(ResourceLimitError, match="nesting 33 exceeds limit 32"):
+        evaluate(FiniteModel(2), nested(33))
+
+
 def test_product_structure_agrees_with_glued_model():
     sentences = [parse("ex1 x. true"), parse("ex2 X. X << X"),
                  parse("at(min)"), parse("min << max"),
