@@ -25,8 +25,8 @@ from .formula.nodes import (FALSE, MAX, MIN, TRUE, And, At, AtomVar, Bot, Eq,
                             ExistsAtom, ExistsSet, Exle, FalseF, ForallAtom,
                             ForallSet, Formula, Iff, Implies, MaxAtom, Mem,
                             MinAtom, Not, Or, SetVar, Subset, Term, TrueF,
-                            check_sorts, free_set_vars, free_vars,
-                            is_sentence, quantifier_depths)
+                            free_set_vars, free_vars, is_sentence,
+                            quantifier_depths)
 from .formula.parser import ParseError, format_formula, parse
 from .formula.sugar import desugar, is_desugared, relativize
 from .model import (FiniteModel, ResourceLimitError, canonical_iso_check,
@@ -48,7 +48,7 @@ __all__ = [
     "Table", "Term", "TrueF", "TypePoint", "UPSet", "Undetermined",
     "ZeroShift", "atomic_agreement", "base_automaton", "base_axioms",
     "brute_force_oracle", "build_comp", "build_psi", "build_rho",
-    "build_sum", "canonical_iso_check", "check_sorts", "clear_caches",
+    "build_sum", "canonical_iso_check", "clear_caches",
     "combine", "comp_samples", "compile", "complement", "concat", "conj",
     "crt_solve", "cylindrify", "desugar", "disj", "ef_equiv", "ef_winner",
     "effective_state_cap", "equivalent", "evaluate", "format_formula",

@@ -6,13 +6,16 @@ says whether position i belongs to the set named ``tracks[j]``.  Boolean
 combinations, track projection, minimization, equivalence, unary
 concatenation (a projection of split words), and lasso extraction are
 provided; every operation returns a complete automaton and respects a
-configurable state cap.
+configurable state cap.  One breadth-first discovery loop, ``_explore``,
+builds every automaton: the product, the subset construction, the
+canonical renumbering after minimization, and the lasso walk.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import filterfalse
 from operator import add, and_, eq, le, or_
 
 from .model import ResourceLimitError
@@ -23,8 +26,7 @@ STATE_CAP_ENV = "FINORD_STATE_CAP"
 
 
 def effective_state_cap(cap: int | None = None) -> int:
-    """The explicit cap if given, else the environment override, else the
-    default."""
+    """An explicit cap, else the environment override, else the default."""
     if cap is not None:
         return cap
     raw = os.environ.get(STATE_CAP_ENV)
@@ -108,29 +110,40 @@ def cylindrify(a: Dfa, tracks) -> Dfa:
     return Dfa(tracks, rows, a.accepting, a.initial)
 
 
-def _product_reachable(a: Dfa, b: Dfa, cap: int):
-    """BFS over the synchronous product; returns (pair codes s*|B|+t in
-    state order, transition rows)."""
-    if a.tracks != b.tracks:
-        raise ValueError("product requires identical track lists")
-    nb = b.n_states
-    start = a.initial * nb + b.initial
+def _explore(start, successors, cap: int, stage: tuple[str, str]):
+    """Breadth-first discovery from ``start``, numbering each new state at
+    its first occurrence in ascending letter order: (states in discovery
+    order, successor rows).  ``stage`` is (name, operands) for the error
+    raised past ``cap`` states."""
     index = {start: 0}
     order = [start]
     rows: list[tuple[int, ...]] = []
-    for code in order:
-        s, t = divmod(code, nb)
-        codes = list(map(add, map(nb.__mul__, a.transitions[s]),
-                         b.transitions[t]))
-        for new in set(codes).difference(index):
+    for state in order:
+        succ = successors(state)
+        for new in filterfalse(index.__contains__, dict.fromkeys(succ)):
             index[new] = len(order)
             order.append(new)
         if len(order) > cap:
             raise ResourceLimitError(
-                f"product exceeds state cap {cap} (operands of "
-                f"{a.n_states} and {nb} states, {a.width} tracks)")
-        rows.append(tuple(map(index.__getitem__, codes)))
+                f"{stage[0]} exceeds state cap {cap} ({stage[1]})")
+        rows.append(tuple(map(index.__getitem__, succ)))
     return order, rows
+
+
+def _product(a: Dfa, b: Dfa, cap: int):
+    """The reachable synchronous product over pair codes s*|B|+t."""
+    if a.tracks != b.tracks:
+        raise ValueError("product requires identical track lists")
+    nb = b.n_states
+
+    def successors(code):
+        s, t = divmod(code, nb)
+        return list(map(add, map(nb.__mul__, a.transitions[s]),
+                        b.transitions[t]))
+
+    return _explore(a.initial * nb + b.initial, successors, cap, (
+        "product",
+        f"operands of {a.n_states} and {nb} states, {a.width} tracks"))
 
 
 _OPS = {"and": and_, "or": or_, "implies": le, "iff": eq}
@@ -145,7 +158,7 @@ def combine(a: Dfa, b: Dfa, op: str, *, cap: int | None = None) -> Dfa:
     cap = effective_state_cap(cap)
     tracks = tuple(sorted(set(a.tracks) | set(b.tracks)))
     a2, b2 = cylindrify(a, tracks), cylindrify(b, tracks)
-    order, rows = _product_reachable(a2, b2, cap)
+    order, rows = _product(a2, b2, cap)
     nb = b2.n_states
     accepting = frozenset(i for i, code in enumerate(order)
                           if keep(code // nb in a2.accepting,
@@ -176,11 +189,8 @@ def project(a: Dfa, track: str, *, cap: int | None = None) -> Dfa:
     succ = [list(map(or_, map(bits.__getitem__, map(row.__getitem__, zeros)),
                      map(bits.__getitem__, map(row.__getitem__, ones))))
             for row in a.transitions]
-    start = bits[a.initial]
-    index = {start: 0}
-    order = [start]
-    rows: list[tuple[int, ...]] = []
-    for subset in order:
+
+    def successors(subset):
         low = subset & -subset
         masks = succ[low.bit_length() - 1]
         subset ^= low
@@ -188,14 +198,10 @@ def project(a: Dfa, track: str, *, cap: int | None = None) -> Dfa:
             low = subset & -subset
             masks = list(map(or_, masks, succ[low.bit_length() - 1]))
             subset ^= low
-        for new in set(masks).difference(index):
-            index[new] = len(order)
-            order.append(new)
-        if len(order) > cap:
-            raise ResourceLimitError(
-                f"projection exceeds state cap {cap} (operand of "
-                f"{a.n_states} states, {a.width} tracks)")
-        rows.append(tuple(map(index.__getitem__, masks)))
+        return masks
+
+    order, rows = _explore(bits[a.initial], successors, cap, (
+        "projection", f"operand of {a.n_states} states, {a.width} tracks"))
     acc_mask = sum(bits[s] for s in a.accepting)
     accepting = frozenset(i for i, subset in enumerate(order)
                           if subset & acc_mask)
@@ -206,42 +212,28 @@ def minimize(a: Dfa) -> Dfa:
     """Language-minimal DFA with states renumbered in breadth-first
     discovery order (letters ascending), so equal languages over equal
     tracks yield structurally equal automata."""
-    trans = a.transitions
-    # reachable pruning
-    reach = [a.initial]
-    seen = {a.initial}
-    for s in reach:
-        for t in set(trans[s]).difference(seen):
-            seen.add(t)
-            reach.append(t)
-    # Moore partition refinement; cls[s] is the class of state s
-    cls = [1 if s in a.accepting else 0 for s in range(len(trans))]
-    count = len({cls[s] for s in reach})
+    n = a.n_states
+    # Moore partition refinement over all states; cls[s] is the class of s
+    cls = [1 if s in a.accepting else 0 for s in range(n)]
+    count = len(set(cls))
     while True:
-        signatures: dict[tuple, int] = {}
-        nxt = cls[:]
-        for s in reach:
-            sig = (cls[s], *map(cls.__getitem__, trans[s]))
-            nxt[s] = signatures.setdefault(sig, len(signatures))
-        cls = nxt
-        if len(signatures) == count:
+        sigs: dict[tuple, int] = {}
+        cls = [sigs.setdefault((c, *map(cls.__getitem__, row)), len(sigs))
+               for c, row in zip(cls, a.transitions)]
+        if len(sigs) == count:
             break
-        count = len(signatures)
-    # canonical renumbering by BFS over classes
-    rep: dict[int, int] = {}
-    for s in reach:
-        rep.setdefault(cls[s], s)
-    renum = {cls[a.initial]: 0}
-    order = [cls[a.initial]]
-    for c in order:
-        for t in map(cls.__getitem__, trans[rep[c]]):
-            if t not in renum:
-                renum[t] = len(order)
-                order.append(t)
-    label = {s: renum[cls[s]] for s in reach}
-    rows = tuple(tuple(map(label.__getitem__, trans[rep[c]])) for c in order)
-    accepting = frozenset(label[s] for s in reach if s in a.accepting)
-    return Dfa(a.tracks, rows, accepting, 0)
+        count = len(sigs)
+    # canonical numbering of the classes reachable from the initial one
+    rep = dict(zip(cls, range(n)))
+
+    def successors(c):
+        return list(map(cls.__getitem__, a.transitions[rep[c]]))
+
+    order, rows = _explore(cls[a.initial], successors, n, (
+        "minimization", f"operand of {n} states, {a.width} tracks"))
+    accepting = frozenset(i for i, c in enumerate(order)
+                          if rep[c] in a.accepting)
+    return Dfa(a.tracks, tuple(rows), accepting, 0)
 
 
 def equivalent(a: Dfa, b: Dfa, *, cap: int | None = None) -> bool:
@@ -250,7 +242,7 @@ def equivalent(a: Dfa, b: Dfa, *, cap: int | None = None) -> bool:
     cap = effective_state_cap(cap)
     tracks = tuple(sorted(set(a.tracks) | set(b.tracks)))
     a2, b2 = cylindrify(a, tracks), cylindrify(b, tracks)
-    order, _rows = _product_reachable(a2, b2, cap)
+    order, _rows = _product(a2, b2, cap)
     nb = b2.n_states
     return all((code // nb in a2.accepting) == (code % nb in b2.accepting)
                for code in order)
@@ -284,14 +276,9 @@ def lasso_spectrum(a: Dfa) -> UPSet:
     gives the finite part, the cycle the residues."""
     if a.width != 0:
         raise ValueError("lasso extraction needs a zero-track automaton")
-    seen: dict[int, int] = {}
-    chain: list[int] = []
-    state = a.initial
-    while state not in seen:
-        seen[state] = len(chain)
-        chain.append(state)
-        state = a.transitions[state][0]
-    tail = seen[state]
+    chain, rows = _explore(a.initial, a.transitions.__getitem__, a.n_states,
+                           ("lasso", f"operand of {a.n_states} states"))
+    tail = rows[-1][0]
     cycle = len(chain) - tail
     init = frozenset(i for i in range(tail) if chain[i] in a.accepting)
     residues = frozenset(i % cycle for i in range(tail, tail + cycle)
@@ -350,11 +337,8 @@ def _cube_cover(letters: set[int], width: int) -> list[str]:
 
 
 def _cube_members(care: int, value: int, width: int) -> list[int]:
-    free = [j for j in range(width) if not care & (1 << j)]
-    members = []
-    for filling in range(1 << len(free)):
-        letter = value
-        for i, j in enumerate(free):
-            letter |= ((filling >> i) & 1) << j
-        members.append(letter)
+    members = [value]
+    for j in range(width):
+        if not care & (1 << j):
+            members += [m | (1 << j) for m in members]
     return members

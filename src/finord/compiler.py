@@ -21,8 +21,8 @@ from . import automata as au
 from .automata import Dfa, effective_state_cap
 from .formula.nodes import (And, At, Bot, Eq, ExistsSet, Exle, FalseF,
                             ForallSet, Formula, Iff, Implies, Not, Or,
-                            SetVar, Subset, TrueF, check_sorts, is_sentence,
-                            rebuild, subformulas, terms_of)
+                            SetVar, Subset, TrueF, is_sentence, rebuild,
+                            subformulas, terms_of)
 from .formula.builders import conj, disj
 from .formula.sugar import desugar, is_desugared
 from .upsets import UPSet
@@ -86,8 +86,7 @@ def _shape_automaton(kind: type, positions: tuple) -> Dfa:
 
 def compile(f: Formula, *, cap: int | None = None) -> Dfa:
     """Automaton whose words over the free variables' tracks are exactly
-    the satisfying assignments; requires a desugared, well-sorted input."""
-    check_sorts(f)
+    the satisfying assignments; requires a desugared input."""
     if not is_desugared(f):
         raise ValueError("compile requires a desugared formula")
     return _compiled(f, effective_state_cap(cap))

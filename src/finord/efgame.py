@@ -14,7 +14,9 @@ answers to a pick are the elements whose code equals the pick's; structures
 of equal size are a Duplicator win at once (copy every move); and a position
 with one round left is a Duplicator win exactly when both sides realize the
 same set of codes, so that every final pick can be mirrored.  One memo holds
-positions and code sets, and ``memo_budget`` bounds its size.
+positions and code sets, and ``memo_budget`` bounds its size.  A structure
+of more than 20 atoms is refused before anything is built, since every
+array the solver makes has one entry per element, 2^n of them.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ SPOILER = "Spoiler"
 DUPLICATOR = "Duplicator"
 
 DEFAULT_MEMO_BUDGET = 2 ** 26
+# each side's codes are one int64 per element: 16 MiB at 21 atoms, 2 GiB at 28
+_MAX_ATOMS = 20
 
 
 def _codes(model: FiniteModel, t: tuple[int, ...]) -> np.ndarray:
@@ -117,6 +121,9 @@ def ef_winner(left: FiniteModel, right: FiniteModel, k: int, *,
     "Duplicator"."""
     if k < 0:
         raise ValueError("round count must be a natural")
+    if left.n > _MAX_ATOMS or right.n > _MAX_ATOMS:
+        raise ResourceLimitError(f"game structures of {left.n} and {right.n} "
+                                 f"atoms exceed the limit of {_MAX_ATOMS}")
     won = _Solver(left, right, memo_budget).duplicator_wins((), (), k)
     return DUPLICATOR if won else SPOILER
 

@@ -3,9 +3,9 @@
 from .nodes import (AtomVar, BOT, Bot, Eq, Exle, ExistsAtom, ExistsSet, FALSE,
                     FalseF, ForallAtom, ForallSet, Formula, And, At, Iff,
                     Implies, MAX, MIN, MaxAtom, Mem, MinAtom, Not, Or, SetVar,
-                    Subset, Term, TRUE, TrueF, all_identifiers, check_sorts,
-                    free_set_vars, free_vars, is_sentence, quantifier_depths,
-                    subformulas, terms_of)
+                    Subset, Term, TRUE, TrueF, all_identifiers, free_set_vars,
+                    free_vars, is_sentence, quantifier_depths, subformulas,
+                    terms_of)
 from .parser import ParseError, format_formula, parse
 from .sugar import desugar, is_desugared, relativize
 from .builders import (base_axioms, build_comp, build_psi, build_rho,

@@ -8,6 +8,8 @@ sugar X(x), under the usual connectives and the four quantifier kinds.
 
 Variable sort is determined by the casing of the first character, and the
 constructors enforce it, so binding is by bare name without ambiguity.
+Membership also checks the sorts of its arguments when it is built: an
+atom-sorted element and a set-sorted container.
 """
 
 from __future__ import annotations
@@ -111,6 +113,12 @@ class Mem(Formula):
     """X(x): the atom denoted by ``atom`` belongs to the set ``container``."""
     atom: Term
     container: Term
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.atom, (AtomVar, MinAtom, MaxAtom)):
+            raise ValueError(f"membership needs an atom-sorted element: {self}")
+        if not isinstance(self.container, (SetVar, Bot)):
+            raise ValueError(f"membership needs a set-sorted container: {self}")
 
 
 @dataclass(frozen=True)
@@ -283,18 +291,3 @@ def quantifier_depths(f: Formula) -> tuple[int, int]:
         a += 1
     return s, a
 
-
-def check_sorts(f: Formula) -> None:
-    """Raise ValueError at the first violation of the sorting discipline.
-
-    Constructor checks already pin casing, so what remains is where each
-    sort may appear: membership needs an atom-sorted element of a
-    set-sorted container.
-    """
-    if isinstance(f, Mem):
-        if not isinstance(f.atom, (AtomVar, MinAtom, MaxAtom)):
-            raise ValueError(f"membership needs an atom-sorted element: {f}")
-        if not isinstance(f.container, (SetVar, Bot)):
-            raise ValueError(f"membership needs a set-sorted container: {f}")
-    for g in subformulas(f):
-        check_sorts(g)

@@ -6,7 +6,9 @@ The binary connectives and their associativity (-> and <-> to the right,
 printer both read.  Keywords (true false bot min max at sub ex1 ex2 all1
 all2) are reserved and cannot name variables.  Nesting more than 150
 levels deep (counting connective operands, negations, quantifier bodies
-and parentheses) is a ``ParseError``, not a ``RecursionError``.
+and parentheses) is a ``ParseError``, not a ``RecursionError``; each link
+of a left-associative & or | chain counts too, since it nests the chain
+before it one level deeper.
 ``format_formula`` emits text that reparses to the same AST; ``x << y``
 between two atom-sorted terms prints in its sugar form ``x < y``, which
 denotes the same node.
@@ -86,6 +88,8 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
         self.depth = 0
+        # the deepest level of what the current ``formula`` call has parsed
+        self.deepest = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -105,17 +109,27 @@ class _Parser:
         """A formula whose binary connectives all bind at ``level`` or
         tighter; the one recursion every nesting of the grammar goes
         through."""
-        if self.depth > _MAX_DEPTH:
-            raise ParseError(f"formula nested deeper than {_MAX_DEPTH} levels",
-                             self.peek().pos)
+        outer = self.deepest
+        self.deepest = self.depth
+        self._check_depth()
         self.depth += 1
         f = self.prefix()
         while (op := _BY_TOKEN.get(self.peek().text)) and op[0] >= level:
             mine, node, right = op
+            if not right:
+                # the chain parsed so far becomes one level deeper
+                self.deepest += 1
+                self._check_depth()
             self.next()
             f = node(f, self.formula(mine if right else mine + 1))
         self.depth -= 1
+        self.deepest = max(outer, self.deepest)
         return f
+
+    def _check_depth(self) -> None:
+        if self.deepest > _MAX_DEPTH:
+            raise ParseError(f"formula nested deeper than {_MAX_DEPTH} levels",
+                             self.peek().pos)
 
     def prefix(self) -> Formula:
         t = self.peek()

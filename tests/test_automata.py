@@ -119,6 +119,39 @@ def test_minimize_idempotent_and_canonical():
     assert e1 == e2
 
 
+def _reachable_part(a):
+    """The states reachable from the initial one, renumbered in order."""
+    seen = {a.initial}
+    stack = [a.initial]
+    while stack:
+        for t in a.transitions[stack.pop()]:
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    new = {s: i for i, s in enumerate(sorted(seen))}
+    return Dfa(a.tracks, [[new[t] for t in a.transitions[s]] for s in new],
+               {new[s] for s in a.accepting if s in seen}, new[a.initial])
+
+
+def test_minimize_ignores_unreachable_states():
+    rng = random.Random(37)
+    for _ in range(200):
+        tracks = ("X", "Y")[:rng.randrange(3)]
+        n = rng.randrange(2, 9)
+        # the states from `core` on are never reached
+        core = rng.randrange(1, n)
+        rows = [[rng.randrange(core if s < core else n)
+                 for _ in range(1 << len(tracks))] for s in range(n)]
+        a = Dfa(tracks, rows, {s for s in range(n) if rng.random() < 0.5},
+                rng.randrange(core))
+        reachable = _reachable_part(a)
+        assert reachable.n_states < n
+        m = minimize(a)
+        assert m == minimize(reachable)
+        for word in _words(len(tracks), 3):
+            assert m.accepts(word) == a.accepts(word)
+
+
 def test_minimize_collapses_redundant_all_accepting():
     red = Dfa((), ((1,), (2,), (3,), (0,)), frozenset([0, 1, 2, 3]))
     assert minimize(red).n_states == 1
@@ -183,6 +216,23 @@ def test_lasso_roundtrip_on_random_upsets():
         dfa = unary_dfa(s)
         for k in range(n + 3 * d + 2):
             assert dfa.accepts([0] * k) == s.member(k)
+
+
+def test_lasso_on_unminimized_automata():
+    # initial state 3, state 0 unreachable, and 1 and 5 equivalent
+    a = Dfa((), ((2,), (4,), (1,), (5,), (2,), (4,)), frozenset([1, 5]), 3)
+    # lengths 1, 4, 7, ...: the walk 3 5 4 2 1 4 2 1 ... has tail 2
+    assert lasso_spectrum(a) == UPSet(0, 3, frozenset(), frozenset([1]))
+    rng = random.Random(41)
+    for _ in range(200):
+        n = rng.randrange(2, 9)
+        # nothing leads to state 0, and the walk starts elsewhere
+        rows = [(rng.randrange(1 if s else 0, n),) for s in range(n)]
+        a = Dfa((), rows, {s for s in range(n) if rng.random() < 0.5},
+                rng.randrange(1, n))
+        s = lasso_spectrum(a)
+        for k in range(3 * n):
+            assert s.member(k) == a.accepts([0] * k), (a, k)
 
 
 def test_lasso_requires_sentence_automaton():

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from finord import (DUPLICATOR, SPOILER, FiniteModel, ResourceLimitError,
-                    atomic_agreement, ef_equiv, ef_winner)
+                    atomic_agreement, cli, ef_equiv, ef_winner)
 
 
 def test_winner_examples():
@@ -154,6 +154,20 @@ def test_round_count_validation():
 def test_memo_budget_enforced():
     with pytest.raises(ResourceLimitError):
         ef_winner(FiniteModel(3), FiniteModel(4), 2, memo_budget=0)
+
+
+def test_atom_limit(capsys):
+    # equal sizes are settled without building any array
+    assert ef_equiv(20, 20, 3) is True
+    for m, n, k in ((0, 21, 1), (21, 20, 1), (21, 21, 0)):
+        with pytest.raises(ResourceLimitError, match="limit of 20"):
+            ef_equiv(m, n, k)
+    assert cli.main(["efgame", "--left", "0", "--right", "21",
+                     "--rounds", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "limit of 20" in err
 
 
 def test_memo_budget_counts_code_sets():

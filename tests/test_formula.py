@@ -7,7 +7,7 @@ from finord import (FALSE, MAX, MIN, TRUE, And, At, AtomVar, Bot, Eq,
                     ExistsAtom, ExistsSet, Exle, FiniteModel, ForallAtom,
                     ForallSet, Iff, Implies, Mem, Not, Or, ParseError,
                     SetVar, Subset, build_comp, build_psi, build_rho,
-                    build_sum, check_sorts, conj, desugar, disj,
+                    build_sum, conj, desugar, disj, evaluate,
                     format_formula, free_set_vars, free_vars, is_desugared,
                     is_sentence, parse, quantifier_depths, relativize,
                     slow_evaluate, spectrum)
@@ -54,7 +54,10 @@ def test_parse_errors():
 
 TOO_DEEP = {"negations": "~" * 3000 + "true",
             "parentheses": "(" * 200 + "true" + ")" * 200,
-            "atom binders": "ex1 x. " * 200 + "true"}
+            "atom binders": "ex1 x. " * 200 + "true",
+            # each left-associative link nests the chain before it deeper
+            "conjunction chain": " & ".join(["true"] * 3000),
+            "disjunction chain": " | ".join(["X = X"] * 3000)}
 
 
 @pytest.mark.parametrize("case", list(TOO_DEEP))
@@ -62,15 +65,29 @@ def test_too_deep_nesting_is_a_parse_error(case, capsys):
     text = TOO_DEEP[case]
     with pytest.raises(ParseError, match="nested deeper"):
         parse(text)
-    assert cli.main(["eval", "--n", "1", text]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.count("\n") == 1 and err.startswith("error: ")
-    assert "nested deeper" in err
+    for argv in (["eval", "--n", "2", text], ["spectrum", text]):
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "nested deeper" in err
 
 
 def test_nesting_at_the_limit_parses_and_compiles():
     assert parse("(" * 150 + "true" + ")" * 150) == TRUE
+    chain = parse(" & ".join(["true"] * 151))
+    assert spectrum(chain) == spectrum(TRUE)
+    assert evaluate(FiniteModel(2), chain)
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse(" & ".join(["true"] * 152))
+    # links count from the depth their chain starts at, and a chain's
+    # operand keeps the links inside it
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse("(" * 100 + " | ".join(["true"] * 52) + ")" * 100)
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse("(" + " & ".join(["true"] * 100) + ")" + " & true" * 60)
+    assert isinstance(parse("(" * 100 + " | ".join(["true"] * 51) + ")" * 100),
+                      Or)
     psi = build_psi("eq", 40)
     assert parse(format_formula(psi)) == psi
     # an atom binder desugars to two nodes, the deepest shape per level
@@ -85,14 +102,18 @@ def test_roundtrip_on_corpus():
 
 
 def test_check_sorts_rejects_misuse():
-    with pytest.raises(ValueError):
-        check_sorts(Mem(SetVar("X"), SetVar("Y")))
-    with pytest.raises(ValueError):
-        check_sorts(ExistsSet("X", Mem(SetVar("X"), Bot())))
-    assert check_sorts(Mem(AtomVar("x"), Bot())) is None
-    # well-sorted corpus passes
-    for name, f in CORPUS:
-        check_sorts(f)
+    # membership needs an atom-sorted element of a set-sorted container
+    with pytest.raises(ValueError, match="atom-sorted element"):
+        Mem(SetVar("X"), SetVar("Y"))
+    with pytest.raises(ValueError, match="atom-sorted element"):
+        ExistsSet("X", Mem(SetVar("X"), Bot()))
+    with pytest.raises(ValueError, match="set-sorted container"):
+        Mem(AtomVar("x"), AtomVar("y"))
+    with pytest.raises(ValueError, match="set-sorted container"):
+        Mem(MIN, MAX)
+    for elem in (AtomVar("x"), MIN, MAX):
+        for container in (SetVar("X"), Bot()):
+            assert Mem(elem, container).container == container
 
 
 def test_desugar_removes_all_sugar():
