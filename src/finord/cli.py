@@ -19,7 +19,7 @@ from .compiler import spectrum
 from .completions import (UNDETERMINED, format_point, parse_point,
                           point_models, point_mul, satisfiable_witness)
 from .efgame import ef_winner
-from .formula.nodes import Formula, Not, is_sentence
+from .formula.nodes import Formula, Not
 from .formula.parser import parse
 from .formula.sugar import desugar
 from .model import FiniteModel, ResourceLimitError, evaluate
@@ -125,12 +125,6 @@ def _formulas(args) -> list[Formula]:
     return [parse(args.formula)]
 
 
-def _sentence(f: Formula) -> Formula:
-    if not is_sentence(f):
-        raise ValueError("formula has free variables; a sentence is required")
-    return f
-
-
 def _each_formula(args, render, end: str = "\n") -> int:
     """Print render(f) for each input formula, in order."""
     for f in _formulas(args):
@@ -141,23 +135,23 @@ def _each_formula(args, render, end: str = "\n") -> int:
 def _cmd_eval(args) -> int:
     model = FiniteModel(args.n)
     return _each_formula(
-        args, lambda f: "true" if evaluate(model, _sentence(f)) else "false")
+        args, lambda f: "true" if evaluate(model, f) else "false")
 
 
 def _cmd_spectrum(args) -> int:
-    return _each_formula(args, lambda f: format_upset(spectrum(_sentence(f))))
+    return _each_formula(args, lambda f: format_upset(spectrum(f)))
 
 
 def _cmd_valid(args) -> int:
     def render(f: Formula) -> str:
-        counter = satisfiable_witness(Not(_sentence(f)))
+        counter = satisfiable_witness(Not(f))
         return "valid" if counter is None else f"invalid (countermodel n={counter})"
     return _each_formula(args, render)
 
 
 def _cmd_normalform(args) -> int:
     def render(f: Formula) -> str:
-        nf = to_normal_form(spectrum(_sentence(f)))
+        nf = to_normal_form(spectrum(f))
         sizes = ",".join(str(i) for i in sorted(nf.sizes))
         classes = ",".join(str(h) for h in sorted(nf.classes))
         return (f"N={nf.threshold};d={nf.period};"
@@ -169,7 +163,7 @@ def _cmd_decide(args) -> int:
     point = parse_point(args.point)
 
     def render(f: Formula) -> str:
-        answer = point_models(point, _sentence(f))
+        answer = point_models(point, f)
         if answer is UNDETERMINED:
             return "undetermined"
         return "true" if answer else "false"

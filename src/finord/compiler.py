@@ -19,26 +19,24 @@ from functools import cache, lru_cache
 
 from . import automata as au
 from .automata import Dfa, effective_state_cap
-from .formula.nodes import (And, At, Bot, Eq, ExistsSet, Exle, FalseF,
-                            ForallSet, Formula, Iff, Implies, Not, Or,
-                            SetVar, Subset, TrueF, is_sentence, rebuild,
-                            subformulas, terms_of)
+from .formula.nodes import (And, At, Binder, Eq, Exle, FalseF, Formula, Iff,
+                            Implies, Not, Or, Relation, SetVar, TrueF,
+                            is_sentence, rebuild, subformulas, terms_of)
 from .formula.builders import conj, disj
 from .formula.sugar import desugar, is_desugared
 from .upsets import UPSet
 
-_ATOMIC = (Eq, Subset, Exle, At)
 _CONNECTIVES = {And: "and", Or: "or", Implies: "implies", Iff: "iff"}
 
 
 def base_automaton(atomic: Formula) -> Dfa:
     """Minimal complete DFA for one relational atomic formula over set
     variables and the empty-set constant."""
-    if not isinstance(atomic, _ATOMIC):
+    if not isinstance(atomic, (Relation, At)):
         raise ValueError(f"unsupported atomic form: {atomic!r}")
     terms = terms_of(atomic)
     for t in terms:
-        if not isinstance(t, (SetVar, Bot)):
+        if not t.set_sorted:
             raise ValueError(f"unsupported term in atomic formula: {t!r}")
     tracks = tuple(sorted({t.name for t in terms if isinstance(t, SetVar)}))
     shape = _shape_automaton(type(atomic), tuple(
@@ -125,7 +123,7 @@ def _compile(f: Formula, cap: int) -> Dfa:
         return Dfa((), ((0,),), frozenset([0]))
     if isinstance(f, FalseF):
         return Dfa((), ((0,),), frozenset())
-    if isinstance(f, _ATOMIC):
+    if isinstance(f, (Relation, At)):
         return base_automaton(f)
     if isinstance(f, Not):
         return au.complement(_compile(f.body, cap))
@@ -133,16 +131,14 @@ def _compile(f: Formula, cap: int) -> Dfa:
     if op is not None:
         return au.combine(_compile(f.left, cap), _compile(f.right, cap), op,
                           cap=cap)
-    if isinstance(f, ExistsSet):
+    if isinstance(f, Binder) and f.over_sets:
+        # a universal is the complement of an existential over the complement
         body = _compile(f.body, cap)
-        if f.var in body.tracks:
-            return au.project(body, f.var, cap=cap)
-        return body
-    if isinstance(f, ForallSet):
-        body = au.complement(_compile(f.body, cap))
+        if not f.exists:
+            body = au.complement(body)
         if f.var in body.tracks:
             body = au.project(body, f.var, cap=cap)
-        return au.complement(body)
+        return body if f.exists else au.complement(body)
     raise ValueError(f"cannot compile node {type(f).__name__}")
 
 
@@ -152,12 +148,9 @@ def _miniscope(f: Formula) -> Formula:
     too), an existential over the disjuncts.  Sound for every model size:
     even n = 0 has one subset to range over, so a quantifier left without
     its variable in a conjunct still means its body."""
-    if isinstance(f, ForallSet):
-        return conj([ForallSet(f.var, g)
-                     for g in _conjuncts(_miniscope(f.body))])
-    if isinstance(f, ExistsSet):
-        return disj([ExistsSet(f.var, g)
-                     for g in _disjuncts(_miniscope(f.body))])
+    if isinstance(f, Binder) and f.over_sets:
+        pieces, join = (_disjuncts, disj) if f.exists else (_conjuncts, conj)
+        return join([type(f)(f.var, g) for g in pieces(_miniscope(f.body))])
     kids = subformulas(f)
     if kids:
         return rebuild(f, tuple(_miniscope(k) for k in kids))

@@ -6,59 +6,74 @@ Formulas combine the relations =, sub (inclusion), << (some atom of the left
 strictly precedes some atom of the right), at(.) (atomhood), and membership
 sugar X(x), under the usual connectives and the four quantifier kinds.
 
-Variable sort is determined by the casing of the first character, and the
-constructors enforce it, so binding is by bare name without ambiguity.
-Membership also checks the sorts of its arguments when it is built: an
-atom-sorted element and a set-sorted container.
+Each shape is one frozen dataclass base, and its concrete classes declare
+only class attributes, so they share the base's constructor, ``==``,
+``hash`` and ``repr``:
+
+- ``Variable(name)``: ``SetVar`` and ``AtomVar``;
+- ``Relation(left, right)``: ``Eq``, ``Subset`` and ``Exle``;
+- ``Binary(left, right)``: ``And``, ``Or``, ``Implies`` and ``Iff``;
+- ``Binder(var, body)``: ``ExistsSet``, ``ForallSet``, ``ExistsAtom`` and
+  ``ForallAtom``, each declaring ``exists`` (existential or universal) and
+  ``over_sets`` (ranging over sets or over atoms).
+
+Every term class declares ``set_sorted``.  A name's case gives its sort,
+uppercase for sets, and the constructors of ``Variable`` and ``Binder``
+enforce it, so binding is by bare name without ambiguity.  Membership
+checks the sorts of its arguments when it is built: an atom-sorted element
+and a set-sorted container.  The engines read these bases and attributes
+rather than listing classes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 
-def _check_ident(name: str) -> None:
+def _check_name(node, name: str, set_sorted: bool) -> None:
+    """The one check that a name's case gives its sort."""
     if not name or not (name[0].isalpha()) or not name.replace("_", "").isalnum():
         raise ValueError(f"bad identifier: {name!r}")
+    if not (name[0].isupper() if set_sorted else name[0].islower()):
+        case = "an uppercase" if set_sorted else "a lowercase"
+        raise ValueError(f"{type(node).__name__} takes {case} name: {name!r}")
 
 
 class Term:
     __slots__ = ()
+    set_sorted: ClassVar[bool]
 
 
 @dataclass(frozen=True)
-class SetVar(Term):
+class Variable(Term):
     name: str
 
     def __post_init__(self) -> None:
-        _check_ident(self.name)
-        if not self.name[0].isupper():
-            raise ValueError(f"set variable must start uppercase: {self.name!r}")
+        _check_name(self, self.name, self.set_sorted)
 
 
-@dataclass(frozen=True)
-class AtomVar(Term):
-    name: str
+class SetVar(Variable):
+    set_sorted = True
 
-    def __post_init__(self) -> None:
-        _check_ident(self.name)
-        if not self.name[0].islower():
-            raise ValueError(f"atom variable must start lowercase: {self.name!r}")
+
+class AtomVar(Variable):
+    set_sorted = False
 
 
 @dataclass(frozen=True)
 class Bot(Term):
-    pass
+    set_sorted = True
 
 
 @dataclass(frozen=True)
 class MinAtom(Term):
-    pass
+    set_sorted = False
 
 
 @dataclass(frozen=True)
 class MaxAtom(Term):
-    pass
+    set_sorted = False
 
 
 BOT = Bot()
@@ -85,22 +100,21 @@ FALSE = FalseF()
 
 
 @dataclass(frozen=True)
-class Eq(Formula):
+class Relation(Formula):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
-class Subset(Formula):
-    left: Term
-    right: Term
+class Eq(Relation):
+    pass
 
 
-@dataclass(frozen=True)
-class Exle(Formula):
+class Subset(Relation):
+    pass
+
+
+class Exle(Relation):
     """Some atom of ``left`` lies strictly before some atom of ``right``."""
-    left: Term
-    right: Term
 
 
 @dataclass(frozen=True)
@@ -115,9 +129,9 @@ class Mem(Formula):
     container: Term
 
     def __post_init__(self) -> None:
-        if not isinstance(self.atom, (AtomVar, MinAtom, MaxAtom)):
+        if not isinstance(self.atom, Term) or self.atom.set_sorted:
             raise ValueError(f"membership needs an atom-sorted element: {self}")
-        if not isinstance(self.container, (SetVar, Bot)):
+        if not isinstance(self.container, Term) or not self.container.set_sorted:
             raise ValueError(f"membership needs a set-sorted container: {self}")
 
 
@@ -127,80 +141,56 @@ class Not(Formula):
 
 
 @dataclass(frozen=True)
-class And(Formula):
+class Binary(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class And(Binary):
+    pass
+
+
+class Or(Binary):
+    pass
+
+
+class Implies(Binary):
+    pass
+
+
+class Iff(Binary):
+    pass
 
 
 @dataclass(frozen=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Iff(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class ExistsSet(Formula):
+class Binder(Formula):
     var: str
     body: Formula
+    exists: ClassVar[bool]
+    over_sets: ClassVar[bool]
 
     def __post_init__(self) -> None:
-        _check_ident(self.var)
-        if not self.var[0].isupper():
-            raise ValueError(f"ex2 binds an uppercase name: {self.var!r}")
+        _check_name(self, self.var, self.over_sets)
 
 
-@dataclass(frozen=True)
-class ForallSet(Formula):
-    var: str
-    body: Formula
-
-    def __post_init__(self) -> None:
-        _check_ident(self.var)
-        if not self.var[0].isupper():
-            raise ValueError(f"all2 binds an uppercase name: {self.var!r}")
+class ExistsSet(Binder):
+    exists, over_sets = True, True
 
 
-@dataclass(frozen=True)
-class ExistsAtom(Formula):
-    var: str
-    body: Formula
-
-    def __post_init__(self) -> None:
-        _check_ident(self.var)
-        if not self.var[0].islower():
-            raise ValueError(f"ex1 binds a lowercase name: {self.var!r}")
+class ForallSet(Binder):
+    exists, over_sets = False, True
 
 
-@dataclass(frozen=True)
-class ForallAtom(Formula):
-    var: str
-    body: Formula
-
-    def __post_init__(self) -> None:
-        _check_ident(self.var)
-        if not self.var[0].islower():
-            raise ValueError(f"all1 binds a lowercase name: {self.var!r}")
+class ExistsAtom(Binder):
+    exists, over_sets = True, False
 
 
-_ATOMIC = (Eq, Subset, Exle)
-_BINARY = (And, Or, Implies, Iff)
-_QUANT = (ExistsSet, ForallSet, ExistsAtom, ForallAtom)
+class ForallAtom(Binder):
+    exists, over_sets = False, False
 
 
 def terms_of(f: Formula) -> tuple[Term, ...]:
-    if isinstance(f, _ATOMIC):
+    if isinstance(f, Relation):
         return (f.left, f.right)
     if isinstance(f, At):
         return (f.arg,)
@@ -211,31 +201,27 @@ def terms_of(f: Formula) -> tuple[Term, ...]:
 
 def subformulas(f: Formula) -> tuple[Formula, ...]:
     """Immediate children."""
-    if isinstance(f, Not):
+    if isinstance(f, (Not, Binder)):
         return (f.body,)
-    if isinstance(f, _BINARY):
+    if isinstance(f, Binary):
         return (f.left, f.right)
-    if isinstance(f, _QUANT):
-        return (f.body,)
     return ()
 
 
 def rebuild(f: Formula, children: tuple[Formula, ...]) -> Formula:
-    if isinstance(f, Not):
-        return Not(children[0])
-    if isinstance(f, _BINARY):
-        return type(f)(children[0], children[1])
-    if isinstance(f, _QUANT):
+    if isinstance(f, Binder):
         return type(f)(f.var, children[0])
+    if isinstance(f, (Not, Binary)):
+        return type(f)(*children)
     return f
 
 
 def free_vars(f: Formula) -> frozenset[str]:
-    if isinstance(f, _QUANT):
+    if isinstance(f, Binder):
         return free_vars(f.body) - {f.var}
     names: set[str] = set()
     for t in terms_of(f):
-        if isinstance(t, (SetVar, AtomVar)):
+        if isinstance(t, Variable):
             names.add(t.name)
     for g in subformulas(f):
         names |= free_vars(g)
@@ -255,10 +241,10 @@ def all_identifiers(f: Formula) -> frozenset[str]:
     names: set[str] = set()
 
     def walk(g: Formula) -> None:
-        if isinstance(g, _QUANT):
+        if isinstance(g, Binder):
             names.add(g.var)
         for t in terms_of(g):
-            if isinstance(t, (SetVar, AtomVar)):
+            if isinstance(t, Variable):
                 names.add(t.name)
         for h in subformulas(g):
             walk(h)
@@ -285,9 +271,10 @@ def quantifier_depths(f: Formula) -> tuple[int, int]:
     for g in subformulas(f):
         gs, ga = quantifier_depths(g)
         s, a = max(s, gs), max(a, ga)
-    if isinstance(f, (ExistsSet, ForallSet)):
-        s += 1
-    if isinstance(f, (ExistsAtom, ForallAtom)):
-        a += 1
+    if isinstance(f, Binder):
+        if f.over_sets:
+            s += 1
+        else:
+            a += 1
     return s, a
 

@@ -8,7 +8,8 @@ all2) are reserved and cannot name variables.  Nesting more than 150
 levels deep (counting connective operands, negations, quantifier bodies
 and parentheses) is a ``ParseError``, not a ``RecursionError``; each link
 of a left-associative & or | chain counts too, since it nests the chain
-before it one level deeper.
+before it one level deeper, and so does each name of a quantifier's list,
+since it nests one binder per name.
 ``format_formula`` emits text that reparses to the same AST; ``x << y``
 between two atom-sorted terms prints in its sugar form ``x < y``, which
 denotes the same node.
@@ -19,10 +20,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .nodes import (AtomVar, BOT, Bot, Eq, Exle, ExistsAtom, ExistsSet, FALSE,
+from .nodes import (AtomVar, BOT, Eq, Exle, ExistsAtom, ExistsSet, FALSE,
                     FalseF, ForallAtom, ForallSet, Formula, And, At, Iff,
-                    Implies, MAX, MIN, MaxAtom, Mem, MinAtom, Not, Or, SetVar,
-                    Subset, Term, TRUE, TrueF)
+                    Implies, MAX, MIN, Mem, Not, Or, SetVar, Subset, Term,
+                    TRUE, TrueF, Variable)
 
 # Binary connectives, loosest first: (token, node, right-associative).
 # Entry i binds at level i + 1; level 0 is a quantifier body or the whole
@@ -148,18 +149,20 @@ class _Parser:
     def quantified(self) -> Formula:
         t = self.next()
         ctor = _QUANTIFIERS[t.text]
-        want_upper = ctor in (ExistsSet, ForallSet)
         names: list[str] = []
         while self.peek().kind == "name":
             v = self.next()
-            if want_upper != v.text[0].isupper():
-                sort = "an uppercase set" if want_upper else "a lowercase atom"
+            if ctor.over_sets != v.text[0].isupper():
+                sort = "an uppercase set" if ctor.over_sets else "a lowercase atom"
                 raise ParseError(f"{t.text} binds {sort} variable, got {v.text!r}", v.pos)
             names.append(v.text)
         if not names:
             raise ParseError(f"{t.text} needs at least one variable", self.peek().pos)
         self.expect(".")
+        # each name nests its binder one level deeper
+        self.depth += len(names) - 1
         body = self.formula()   # maximal scope
+        self.depth -= len(names) - 1
         for name in reversed(names):
             body = ctor(name, body)
         return body
@@ -271,8 +274,8 @@ def _wrap(text: str, mine: int, context: int) -> str:
 
 
 def _fmt_term(t: Term) -> str:
-    if isinstance(t, (SetVar, AtomVar)):
+    if isinstance(t, Variable):
         return t.name
-    if isinstance(t, (Bot, MinAtom, MaxAtom)):
+    if t in _CONSTANT_TEXT:
         return _CONSTANT_TEXT[t]
     raise TypeError(f"not a term: {t!r}")

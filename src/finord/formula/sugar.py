@@ -14,15 +14,14 @@ binders inside its body.
 
 from __future__ import annotations
 
-from .nodes import (And, At, AtomVar, Exle, ExistsAtom, ExistsSet,
-                    ForallAtom, ForallSet, Formula, Implies, MAX, MIN,
-                    MaxAtom, Mem, MinAtom, Not, SetVar, Subset, Term,
-                    all_identifiers, fresh_names, is_sentence, rebuild,
-                    subformulas, terms_of)
+from .nodes import (And, At, AtomVar, Binder, Exle, ExistsSet, ForallSet,
+                    Formula, Implies, MAX, MIN, MaxAtom, Mem, MinAtom, Not,
+                    SetVar, Subset, Term, all_identifiers, fresh_names,
+                    is_sentence, rebuild, subformulas, terms_of)
 
 
 def is_desugared(f: Formula) -> bool:
-    if isinstance(f, (Mem, ExistsAtom, ForallAtom)):
+    if isinstance(f, Mem) or isinstance(f, Binder) and not f.over_sets:
         return False
     if any(isinstance(t, (MinAtom, MaxAtom)) for t in terms_of(f)):
         return False
@@ -34,10 +33,10 @@ def desugar(f: Formula) -> Formula:
 
 
 def _desugar(f: Formula, fresh, names: dict[Term, SetVar]) -> Formula:
-    if isinstance(f, (ExistsAtom, ForallAtom)):
+    if isinstance(f, Binder) and not f.over_sets:
         v = SetVar(next(fresh))
         body = _desugar(f.body, fresh, {**names, AtomVar(f.var): v})
-        if isinstance(f, ExistsAtom):
+        if f.exists:
             return ExistsSet(v.name, And(At(v), body))
         return ForallSet(v.name, Implies(At(v), body))
     if isinstance(f, Mem):
@@ -76,11 +75,11 @@ def relativize(f: Formula, var: str) -> Formula:
 
 
 def _rel(f: Formula, bound: SetVar) -> Formula:
-    if isinstance(f, (ExistsSet, ForallSet)):
+    if isinstance(f, Binder):
         if f.var == bound.name:
             raise ValueError(f"relativization variable {bound.name!r} occurs in the sentence")
         guard = Subset(SetVar(f.var), bound)
-        link = And if isinstance(f, ExistsSet) else Implies
+        link = And if f.exists else Implies
         return type(f)(f.var, link(guard, _rel(f.body, bound)))
     kids = subformulas(f)
     if kids:

@@ -24,11 +24,10 @@ from operator import and_, eq, le, or_
 
 import numpy as np
 
-from .formula.nodes import (And, At, AtomVar, Bot, Eq, Exle, ExistsAtom,
-                            ExistsSet, FalseF, ForallAtom, ForallSet, Formula,
-                            Iff, Implies, MaxAtom, Mem, MinAtom, Not, Or,
-                            SetVar, Subset, Term, TrueF, free_vars,
-                            quantifier_depths)
+from .formula.nodes import (And, At, Binder, Bot, Eq, Exle, FalseF, Formula,
+                            Iff, Implies, MaxAtom, MinAtom, Not, Or, Term,
+                            TrueF, Variable, free_vars, quantifier_depths,
+                            terms_of)
 
 DEFAULT_MAX_N = 10
 DEFAULT_MAX_SET_DEPTH = 4
@@ -189,11 +188,11 @@ class _Evaluator:
                     return self._const(truth(True, c), naxes)
                 return left if truth(True, c) else self._neg(left)
             return self._merge(table_op, left, right)
-        if isinstance(f, (ExistsSet, ForallSet, ExistsAtom, ForallAtom)):
+        if isinstance(f, Binder):
             return self._quant(f, binds, naxes, env)
         return self._atomic(f, binds, naxes, env)
 
-    def _quant(self, f, binds: tuple[_Binding, ...], naxes: int,
+    def _quant(self, f: Binder, binds: tuple[_Binding, ...], naxes: int,
                env: dict) -> np.ndarray:
         """Reduce the body over the variable's domain, bound on a new last
         axis: in one piece, or, for an atom whose estimated live table
@@ -202,13 +201,12 @@ class _Evaluator:
         if naxes >= _MAX_AXES:
             raise ResourceLimitError(
                 f"binder nesting {naxes + 1} exceeds limit {_MAX_AXES}")
-        exists = isinstance(f, (ExistsSet, ExistsAtom))
-        is_set = isinstance(f, (ExistsSet, ForallSet))
-        values = self.set_values if is_set else self.atom_values
+        exists = f.exists
+        values = self.set_values if f.over_sets else self.atom_values
         if not len(values):
             return self._const(not exists, naxes)
         pieces = [values]
-        if not is_set:
+        if not f.over_sets:
             live = free_vars(f.body)
             est = len(values)
             for name, _axis, bound in binds:
@@ -234,25 +232,20 @@ class _Evaluator:
 
     def _atomic(self, f: Formula, binds: tuple[_Binding, ...], naxes: int,
                 env: dict) -> np.ndarray:
-        if isinstance(f, (Eq, Subset, Exle)):
-            lt, rt = f.left, f.right
-        elif isinstance(f, Mem):
-            lt, rt = f.atom, f.container
-        elif isinstance(f, At):
-            a = self._term(f.arg, binds, naxes, env)
-            if a is None:
-                return self._const(False, naxes)
-            return self.pop[a] == 1
-        else:
+        terms = terms_of(f)
+        if not terms:
             raise TypeError(f"not a formula: {f!r}")
-        a = self._term(lt, binds, naxes, env)
-        b = self._term(rt, binds, naxes, env)
-        if a is None or b is None:
+        args = [self._term(t, binds, naxes, env) for t in terms]
+        if any(a is None for a in args):
             return self._const(False, naxes)
+        if isinstance(f, At):
+            return self.pop[args[0]] == 1
+        a, b = args
         if isinstance(f, Eq):
             return self._merge(np.equal, a, b)
         if isinstance(f, Exle):
             return self._merge(lambda x, y: self.low[x] < self.high[y], a, b)
+        # inclusion, and membership as the inclusion of an atom
         return self._merge(lambda x, y: (x & ~y) == 0, a, b)
 
     def _term(self, t: Term, binds: tuple[_Binding, ...], naxes: int,
@@ -267,7 +260,7 @@ class _Evaluator:
         if isinstance(t, MaxAtom):
             v = self.model.greatest_atom()
             return None if v is None else self._int_const(v, naxes)
-        if isinstance(t, (SetVar, AtomVar)):
+        if isinstance(t, Variable):
             for name, axis, values in reversed(binds):
                 if name == t.name:
                     shape = [1] * naxes
@@ -337,10 +330,9 @@ def _slow(m, f: Formula, env: dict) -> bool:
         return not _slow(m, f.left, env) or _slow(m, f.right, env)
     if isinstance(f, Iff):
         return _slow(m, f.left, env) == _slow(m, f.right, env)
-    if isinstance(f, (ExistsSet, ForallSet, ExistsAtom, ForallAtom)):
-        domain = m.universe() if isinstance(f, (ExistsSet, ForallSet)) \
-            else m.atoms()
-        want = isinstance(f, (ExistsSet, ExistsAtom))
+    if isinstance(f, Binder):
+        domain = m.universe() if f.over_sets else m.atoms()
+        want = f.exists
         saved = env.get(f.var, _UNDEF)
         try:
             for u in domain:
@@ -353,22 +345,21 @@ def _slow(m, f: Formula, env: dict) -> bool:
                 env.pop(f.var, None)
             else:
                 env[f.var] = saved
-    if isinstance(f, Eq):
-        a, b = _slow_term(m, f.left, env), _slow_term(m, f.right, env)
-        return False if a is _UNDEF or b is _UNDEF else a == b
-    if isinstance(f, Subset):
-        a, b = _slow_term(m, f.left, env), _slow_term(m, f.right, env)
-        return False if a is _UNDEF or b is _UNDEF else m.subset(a, b)
-    if isinstance(f, Mem):
-        a, b = _slow_term(m, f.atom, env), _slow_term(m, f.container, env)
-        return False if a is _UNDEF or b is _UNDEF else m.subset(a, b)
-    if isinstance(f, Exle):
-        a, b = _slow_term(m, f.left, env), _slow_term(m, f.right, env)
-        return False if a is _UNDEF or b is _UNDEF else m.exle(a, b)
+    terms = terms_of(f)
+    if not terms:
+        raise TypeError(f"not a formula: {f!r}")
+    args = [_slow_term(m, t, env) for t in terms]
+    if any(a is _UNDEF for a in args):
+        return False
     if isinstance(f, At):
-        a = _slow_term(m, f.arg, env)
-        return False if a is _UNDEF else m.is_atom(a)
-    raise TypeError(f"not a formula: {f!r}")
+        return m.is_atom(args[0])
+    a, b = args
+    if isinstance(f, Eq):
+        return a == b
+    if isinstance(f, Exle):
+        return m.exle(a, b)
+    # inclusion, and membership as the inclusion of an atom
+    return m.subset(a, b)
 
 
 _UNDEF = object()
@@ -383,7 +374,7 @@ def _slow_term(m, t: Term, env: dict):
     if isinstance(t, MaxAtom):
         v = m.greatest_atom()
         return _UNDEF if v is None else v
-    if isinstance(t, (SetVar, AtomVar)):
+    if isinstance(t, Variable):
         if t.name not in env:
             raise ValueError(f"unbound variable {t.name}")
         return env[t.name]

@@ -1,8 +1,17 @@
 """Command-line interface: outputs, exit codes, error handling."""
 
-import pytest
+import io
+import re
+import shlex
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
-from finord import cli
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from finord import cli, format_formula
+from test_formula_properties import formulas
 
 
 def run(capsys, *argv):
@@ -141,3 +150,91 @@ def test_valid_agrees_with_spectrum(capsys):
                  "all1 x. all1 y. (x << y -> ~(y << x))"):
         f = parse(text)
         assert pseudofinite_valid(f) == (spectrum(f) == UPSet.naturals())
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_examples():
+    """(argv, expected first output line) for each ``finord ...  # output``
+    line of the README's command block."""
+    out = []
+    for line in README.read_text(encoding="utf-8").splitlines():
+        m = re.fullmatch(r"finord (.*?)\s+# (.*)", line)
+        if m:
+            out.append((shlex.split(m.group(1)), m.group(2)))
+    return out
+
+
+def test_readme_examples(capsys):
+    examples = readme_examples()
+    assert len(examples) == 9
+    for argv, expected in examples:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        if "--dot" in argv:
+            assert out.startswith("digraph"), argv
+        else:
+            assert out.splitlines()[0] == expected, argv
+
+
+# -- fuzzing main: every argv ends in an answer, one error line, or usage --
+
+NATS = st.integers(0, 3).map(str)
+POINTS = st.one_of(
+    st.integers(0, 5).map(lambda n: f"fin:{n}"),
+    st.integers(0, 5).map(lambda c: f"inf:zero+{c}"),
+    st.lists(st.tuples(st.sampled_from((2, 3, 4, 5)), st.integers(0, 3),
+                       st.integers(0, 9)), max_size=3).map(
+        lambda entries: "inf:" + ";".join(f"{p}^{j}={r}" for p, j, r in entries)),
+    st.text(alphabet="finzero:+^=;0123456789-", max_size=12))
+FORMULA_TOKENS = ("ex1", "all1", "ex2", "all2", "x", "y", "X", "Y", ".", "(",
+                  ")", "&", "|", "~", "->", "<->", "=", "sub", "<<", "<", "at",
+                  "bot", "min", "max", "true", "false", "X(x)", "@")
+FORMULA_TEXTS = st.one_of(
+    formulas(depth=2).map(format_formula),
+    st.lists(st.sampled_from(FORMULA_TOKENS), max_size=12).map(" ".join))
+COMMANDS = ("eval", "spectrum", "valid", "normalform", "decide", "mul",
+            "efgame", "compile")
+# argv words mixed into otherwise well-formed command lines
+ARGV_WORDS = COMMANDS + ("--n", "--point", "--points", "--left", "--right",
+                         "--rounds", "--dot", "3", "true", "ex1 x.", "fin:2",
+                         "-x", "")
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(COMMANDS))
+    argv = [command]
+    if command == "eval":
+        argv += ["--n", draw(NATS)]
+    elif command == "decide":
+        argv += ["--point", draw(POINTS)]
+    elif command == "mul":
+        argv += ["--points", ",".join(draw(st.lists(POINTS, max_size=3)))]
+    elif command == "efgame":
+        for option in ("--left", "--right", "--rounds"):
+            argv += [option, draw(NATS)]
+    elif command == "compile" and draw(st.booleans()):
+        argv.append("--dot")
+    if command not in ("mul", "efgame"):
+        argv.append(draw(FORMULA_TEXTS))
+    for word in draw(st.lists(st.sampled_from(ARGV_WORDS), max_size=2)):
+        argv.insert(draw(st.integers(0, len(argv))), word)
+    return argv
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(argvs())
+def test_main_ends_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+            return
+    assert code in (0, 1), argv
+    if code == 1:
+        assert err.getvalue().startswith("error: "), argv
+        assert err.getvalue().count("\n") == 1, argv

@@ -55,6 +55,9 @@ def test_parse_errors():
 TOO_DEEP = {"negations": "~" * 3000 + "true",
             "parentheses": "(" * 200 + "true" + ")" * 200,
             "atom binders": "ex1 x. " * 200 + "true",
+            # one binder, and one level, per name of the list
+            "atom binder list": "ex1 " + " ".join(f"x{i}" for i in range(200))
+                                + ". true",
             # each left-associative link nests the chain before it deeper
             "conjunction chain": " & ".join(["true"] * 3000),
             "disjunction chain": " | ".join(["X = X"] * 3000)}
@@ -93,6 +96,13 @@ def test_nesting_at_the_limit_parses_and_compiles():
     # an atom binder desugars to two nodes, the deepest shape per level
     chain = parse("".join(f"ex1 x{i}. " for i in range(150)) + "true")
     assert spectrum(chain) == spectrum(parse("ex1 x. true"))
+    # a name list parses exactly when one binder per name does
+    names = [f"x{i}" for i in range(151)]
+    assert parse(f"ex1 {' '.join(names[:150])}. true") == chain
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse("".join(f"ex1 {x}. " for x in names) + "true")
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse(f"ex1 {' '.join(names)}. true")
 
 
 def test_roundtrip_on_corpus():
