@@ -130,22 +130,6 @@ def _explore(start, successors, cap: int, stage: tuple[str, str]):
     return order, rows
 
 
-def _product(a: Dfa, b: Dfa, cap: int):
-    """The reachable synchronous product over pair codes s*|B|+t."""
-    if a.tracks != b.tracks:
-        raise ValueError("product requires identical track lists")
-    nb = b.n_states
-
-    def successors(code):
-        s, t = divmod(code, nb)
-        return list(map(add, map(nb.__mul__, a.transitions[s]),
-                        b.transitions[t]))
-
-    return _explore(a.initial * nb + b.initial, successors, cap, (
-        "product",
-        f"operands of {a.n_states} and {nb} states, {a.width} tracks"))
-
-
 _OPS = {"and": and_, "or": or_, "implies": le, "iff": eq}
 
 
@@ -158,8 +142,17 @@ def combine(a: Dfa, b: Dfa, op: str, *, cap: int | None = None) -> Dfa:
     cap = effective_state_cap(cap)
     tracks = tuple(sorted(set(a.tracks) | set(b.tracks)))
     a2, b2 = cylindrify(a, tracks), cylindrify(b, tracks)
-    order, rows = _product(a2, b2, cap)
     nb = b2.n_states
+
+    # the reachable synchronous product over pair codes s*|B|+t
+    def successors(code):
+        s, t = divmod(code, nb)
+        return list(map(add, map(nb.__mul__, a2.transitions[s]),
+                        b2.transitions[t]))
+
+    order, rows = _explore(a2.initial * nb + b2.initial, successors, cap, (
+        "product",
+        f"operands of {a2.n_states} and {nb} states, {a2.width} tracks"))
     accepting = frozenset(i for i, code in enumerate(order)
                           if keep(code // nb in a2.accepting,
                                   code % nb in b2.accepting))
@@ -237,15 +230,10 @@ def minimize(a: Dfa) -> Dfa:
 
 
 def equivalent(a: Dfa, b: Dfa, *, cap: int | None = None) -> bool:
-    """Language equality via emptiness of the symmetric difference, checked
-    on the reachable product."""
-    cap = effective_state_cap(cap)
-    tracks = tuple(sorted(set(a.tracks) | set(b.tracks)))
-    a2, b2 = cylindrify(a, tracks), cylindrify(b, tracks)
-    order, _rows = _product(a2, b2, cap)
-    nb = b2.n_states
-    return all((code // nb in a2.accepting) == (code % nb in b2.accepting)
-               for code in order)
+    """Language equality: the "iff" combination minimizes to one accepting
+    state."""
+    both = combine(a, b, "iff", cap=cap)
+    return both.n_states == 1 and 0 in both.accepting
 
 
 def concat(a: Dfa, b: Dfa, *, cap: int | None = None) -> Dfa:

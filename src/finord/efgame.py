@@ -14,9 +14,10 @@ answers to a pick are the elements whose code equals the pick's; structures
 of equal size are a Duplicator win at once (copy every move); and a position
 with one round left is a Duplicator win exactly when both sides realize the
 same set of codes, so that every final pick can be mirrored.  One memo holds
-positions and code sets, and ``memo_budget`` bounds its size.  A structure
-of more than 20 atoms is refused before anything is built, since every
-array the solver makes has one entry per element, 2^n of them.
+positions and code sets.  ``memo_budget`` bounds the search's work, counted
+as memo entries plus each Spoiler pick's number of candidate answers.  A
+structure of more than 20 atoms is refused before anything is built, since
+every array the solver makes has one entry per element, 2^n of them.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from .model import FiniteModel, ResourceLimitError
 SPOILER = "Spoiler"
 DUPLICATOR = "Duplicator"
 
-DEFAULT_MEMO_BUDGET = 2 ** 26
+# memo entries plus candidate answers; 9 and 10 atoms in 2 rounds take 10**6
+DEFAULT_MEMO_BUDGET = 2 ** 24
 # each side's codes are one int64 per element: 16 MiB at 21 atoms, 2 GiB at 28
 _MAX_ATOMS = 20
 
@@ -67,10 +69,21 @@ def atomic_agreement(left: FiniteModel, a_tuple, right: FiniteModel,
 class _Solver:
     """Memoized minimax over agreeing positions."""
 
-    def __init__(self, left: FiniteModel, right: FiniteModel, budget: int):
+    def __init__(self, left: FiniteModel, right: FiniteModel, rounds: int,
+                 budget: int):
         self.models = (left, right)
+        self.game = (rounds, left.n, right.n)
         self.budget = budget
+        self.spent = 0
         self.memo: dict[tuple, object] = {}
+
+    def _charge(self, work: int) -> None:
+        self.spent += work
+        if self.spent > self.budget:
+            k, m, n = self.game
+            raise ResourceLimitError(
+                f"game search budget of {self.budget} memo entries and "
+                f"candidate answers exceeded ({k} rounds on {m} and {n} atoms)")
 
     def duplicator_wins(self, a: tuple[int, ...], b: tuple[int, ...],
                         rounds: int) -> bool:
@@ -86,9 +99,7 @@ class _Solver:
         (side, t), the set of codes that side realizes against t."""
         hit = self.memo.get(key)
         if hit is None:
-            if len(self.memo) >= self.budget:
-                raise ResourceLimitError(f"game state budget of {self.budget}"
-                                         " memo entries exceeded")
+            self._charge(1)
             if len(key) == 2:
                 side, t = key
                 hit = tuple(np.unique(_codes(self.models[side], t)).tolist())
@@ -105,7 +116,9 @@ class _Solver:
         rest = rounds - 1
 
         def answers(codes, code):
-            return np.flatnonzero(codes == code).tolist()
+            found = np.flatnonzero(codes == code).tolist()
+            self._charge(len(found))
+            return found
 
         return (all(any(self.duplicator_wins(a + (c,), b + (d,), rest)
                         for d in answers(right, code))
@@ -124,7 +137,7 @@ def ef_winner(left: FiniteModel, right: FiniteModel, k: int, *,
     if left.n > _MAX_ATOMS or right.n > _MAX_ATOMS:
         raise ResourceLimitError(f"game structures of {left.n} and {right.n} "
                                  f"atoms exceed the limit of {_MAX_ATOMS}")
-    won = _Solver(left, right, memo_budget).duplicator_wins((), (), k)
+    won = _Solver(left, right, k, memo_budget).duplicator_wins((), (), k)
     return DUPLICATOR if won else SPOILER
 
 

@@ -17,12 +17,13 @@ only class attributes, so they share the base's constructor, ``==``,
   ``ForallAtom``, each declaring ``exists`` (existential or universal) and
   ``over_sets`` (ranging over sets or over atoms).
 
-Every term class declares ``set_sorted``.  A name's case gives its sort,
-uppercase for sets, and the constructors of ``Variable`` and ``Binder``
-enforce it, so binding is by bare name without ambiguity.  Membership
-checks the sorts of its arguments when it is built: an atom-sorted element
-and a set-sorted container.  The engines read these bases and attributes
-rather than listing classes.
+Every term class declares ``set_sorted``, and a term's ``str`` is its
+surface text.  A name's case gives its sort, uppercase for sets:
+``_name_sort`` states that rule once, and the constructors of ``Variable``
+and ``Binder`` enforce it, so binding is by bare name without ambiguity.
+Membership checks its sorts when it is built, for code and text alike: an
+atom-sorted element and a set-sorted container.  The engines read these
+bases and attributes rather than listing classes.
 """
 
 from __future__ import annotations
@@ -31,11 +32,17 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 
+def _name_sort(name: str) -> bool | None:
+    """The sort a name's case gives it: True for a set (uppercase initial),
+    False for an atom (lowercase initial), None for neither."""
+    initial = name[:1]
+    return True if initial.isupper() else False if initial.islower() else None
+
+
 def _check_name(node, name: str, set_sorted: bool) -> None:
-    """The one check that a name's case gives its sort."""
     if not name or not (name[0].isalpha()) or not name.replace("_", "").isalnum():
         raise ValueError(f"bad identifier: {name!r}")
-    if not (name[0].isupper() if set_sorted else name[0].islower()):
+    if _name_sort(name) != set_sorted:
         case = "an uppercase" if set_sorted else "a lowercase"
         raise ValueError(f"{type(node).__name__} takes {case} name: {name!r}")
 
@@ -43,6 +50,10 @@ def _check_name(node, name: str, set_sorted: bool) -> None:
 class Term:
     __slots__ = ()
     set_sorted: ClassVar[bool]
+    _text: ClassVar[str]
+
+    def __str__(self) -> str:
+        return self._text
 
 
 @dataclass(frozen=True)
@@ -51,6 +62,9 @@ class Variable(Term):
 
     def __post_init__(self) -> None:
         _check_name(self, self.name, self.set_sorted)
+
+    def __str__(self) -> str:
+        return self.name
 
 
 class SetVar(Variable):
@@ -63,17 +77,17 @@ class AtomVar(Variable):
 
 @dataclass(frozen=True)
 class Bot(Term):
-    set_sorted = True
+    set_sorted, _text = True, "bot"
 
 
 @dataclass(frozen=True)
 class MinAtom(Term):
-    set_sorted = False
+    set_sorted, _text = False, "min"
 
 
 @dataclass(frozen=True)
 class MaxAtom(Term):
-    set_sorted = False
+    set_sorted, _text = False, "max"
 
 
 BOT = Bot()
@@ -130,9 +144,9 @@ class Mem(Formula):
 
     def __post_init__(self) -> None:
         if not isinstance(self.atom, Term) or self.atom.set_sorted:
-            raise ValueError(f"membership needs an atom-sorted element: {self}")
+            raise ValueError(f"membership needs an atom-sorted element, got {self.atom}")
         if not isinstance(self.container, Term) or not self.container.set_sorted:
-            raise ValueError(f"membership needs a set-sorted container: {self}")
+            raise ValueError(f"membership needs a set-sorted container, got {self.container}")
 
 
 @dataclass(frozen=True)
@@ -229,7 +243,7 @@ def free_vars(f: Formula) -> frozenset[str]:
 
 
 def free_set_vars(f: Formula) -> frozenset[str]:
-    return frozenset(n for n in free_vars(f) if n[0].isupper())
+    return frozenset(n for n in free_vars(f) if _name_sort(n))
 
 
 def is_sentence(f: Formula) -> bool:

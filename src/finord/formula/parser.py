@@ -1,18 +1,20 @@
 """Concrete syntax: tokenizer, precedence-climbing parser, and printer.
 
 Precedence, loosest first: quantifier body (maximal scope), <->, ->, |, &, ~.
-The binary connectives and their associativity (-> and <-> to the right,
-& and | to the left) are one table, ``_INFIX``, which the parser and the
-printer both read.  Keywords (true false bot min max at sub ex1 ex2 all1
-all2) are reserved and cannot name variables.  Nesting more than 150
-levels deep (counting connective operands, negations, quantifier bodies
-and parentheses) is a ``ParseError``, not a ``RecursionError``; each link
-of a left-associative & or | chain counts too, since it nests the chain
-before it one level deeper, and so does each name of a quantifier's list,
-since it nests one binder per name.
-``format_formula`` emits text that reparses to the same AST; ``x << y``
-between two atom-sorted terms prints in its sugar form ``x < y``, which
-denotes the same node.
+The binary connectives with their associativity (-> and <-> to the right,
+& and | to the left), the constants, the relations and the quantifiers are
+one table each, which the parser and the printer both read.  Keywords
+(true false bot min max at sub ex1 ex2 all1 all2) are reserved and cannot
+name variables, and a name's case gives its sort.  Membership X(x) is a
+term applied to a term; ``Mem`` checks its sorts, and a sort error is a
+``ParseError`` at the container.  Nesting more than 150 levels deep
+(counting connective operands, negations, quantifier bodies and
+parentheses) is a ``ParseError``, not a ``RecursionError``; each link of a
+left-associative & or | chain counts too, since it nests the chain before
+it one level deeper, and so does each name of a quantifier's list, since it
+nests one binder per name.  ``format_formula`` emits text that reparses to
+the same AST; ``x << y`` between two atom-sorted terms prints in its sugar
+form ``x < y``, which denotes the same node.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ import re
 from dataclasses import dataclass
 
 from .nodes import (AtomVar, BOT, Eq, Exle, ExistsAtom, ExistsSet, FALSE,
-                    FalseF, ForallAtom, ForallSet, Formula, And, At, Iff,
-                    Implies, MAX, MIN, Mem, Not, Or, SetVar, Subset, Term,
-                    TRUE, TrueF, Variable)
+                    ForallAtom, ForallSet, Formula, And, At, Iff, Implies,
+                    MAX, MIN, Mem, Not, Or, SetVar, Subset, Term, TRUE,
+                    _name_sort)
 
 # Binary connectives, loosest first: (token, node, right-associative).
 # Entry i binds at level i + 1; level 0 is a quantifier body or the whole
@@ -36,9 +38,13 @@ _NOT_LEVEL = len(_INFIX) + 1
 
 _QUANTIFIERS = {"ex2": ExistsSet, "all2": ForallSet,
                 "ex1": ExistsAtom, "all1": ForallAtom}
-_CONSTANTS = {"bot": BOT, "min": MIN, "max": MAX}
+_CONSTANTS = {str(c): c for c in (BOT, MIN, MAX)}
+_TRUTHS = {"true": TRUE, "false": FALSE}
+# "<" is sugar for "<<": the printer writes each node's first token, and
+# "<" only between two atom variables
+_RELATIONS = {"=": Eq, "sub": Subset, "<<": Exle, "<": Exle}
 
-KEYWORDS = {"true", "false", "at", "sub", *_QUANTIFIERS, *_CONSTANTS}
+KEYWORDS = {"at", "sub", *_TRUTHS, *_QUANTIFIERS, *_CONSTANTS}
 
 # Deep enough for the largest builder output the benchmark parses
 # (``build_psi("eq", 40)`` prints 123 levels deep), shallow enough that
@@ -73,12 +79,10 @@ def _tokenize(text: str) -> list[_Token]:
         m = _TOKEN_RE.match(text, i)
         if m is None:
             raise ParseError(f"unexpected character {text[i]!r}", i)
-        if m.lastgroup == "name":
+        if m.lastgroup != "ws":
             word = m.group()
-            kind = "kw" if word in KEYWORDS else "name"
+            kind = "kw" if word in KEYWORDS else m.lastgroup
             out.append(_Token(kind, word, i))
-        elif m.lastgroup == "op":
-            out.append(_Token("op", m.group(), i))
         i = m.end()
     out.append(_Token("end", "", len(text)))
     return out
@@ -142,7 +146,7 @@ class _Parser:
             f = self.formula()
             self.expect(")")
             return f
-        if t.kind == "kw" and t.text in _QUANTIFIERS:
+        if t.text in _QUANTIFIERS:
             return self.quantified()
         return self.atomic()
 
@@ -152,7 +156,7 @@ class _Parser:
         names: list[str] = []
         while self.peek().kind == "name":
             v = self.next()
-            if ctor.over_sets != v.text[0].isupper():
+            if ctor.over_sets != _name_sort(v.text):
                 sort = "an uppercase set" if ctor.over_sets else "a lowercase atom"
                 raise ParseError(f"{t.text} binds {sort} variable, got {v.text!r}", v.pos)
             names.append(v.text)
@@ -169,57 +173,34 @@ class _Parser:
 
     def atomic(self) -> Formula:
         t = self.peek()
-        if t.kind == "kw":
-            if t.text == "true":
-                self.next()
-                return TRUE
-            if t.text == "false":
-                self.next()
-                return FALSE
-            if t.text == "at":
-                self.next()
-                self.expect("(")
-                arg = self.term()
-                self.expect(")")
-                return At(arg)
-        # membership X(x) needs two-token lookahead past the container term
-        is_container = ((t.kind == "name" and t.text[0].isupper())
-                        or (t.kind == "kw" and t.text == "bot"))
-        if is_container and self.tokens[self.i + 1].text == "(":
-            container: Term = BOT if t.text == "bot" else SetVar(t.text)
+        if t.text in _TRUTHS:
             self.next()
+            return _TRUTHS[t.text]
+        if t.text == "at":
             self.next()
-            v = self.peek()
-            if v.kind == "name" and v.text[0].islower():
-                elem: Term = AtomVar(v.text)
-            elif v.text in ("min", "max"):
-                elem = _CONSTANTS[v.text]
-            else:
-                raise ParseError(f"membership argument must be atom-sorted, got {v.text!r}", v.pos)
-            self.next()
+            self.expect("(")
+            arg = self.term()
             self.expect(")")
-            return Mem(elem, container)
+            return At(arg)
         left = self.term()
-        op = self.peek()
-        if op.text == "=":
-            self.next()
-            return Eq(left, self.term())
-        if op.text == "sub" and op.kind == "kw":
-            self.next()
-            return Subset(left, self.term())
-        if op.text in ("<<", "<"):
-            self.next()
-            return Exle(left, self.term())
-        raise ParseError(f"expected a relation, found {op.text!r}", op.pos)
+        op = self.next()
+        if op.text == "(":
+            elem = self.term()
+            self.expect(")")
+            try:
+                return Mem(elem, left)
+            except ValueError as exc:
+                raise ParseError(str(exc), t.pos) from None
+        if op.text not in _RELATIONS:
+            raise ParseError(f"expected a relation, found {op.text!r}", op.pos)
+        return _RELATIONS[op.text](left, self.term())
 
     def term(self) -> Term:
-        t = self.peek()
-        if t.kind == "kw" and t.text in _CONSTANTS:
-            self.next()
+        t = self.next()
+        if t.text in _CONSTANTS:
             return _CONSTANTS[t.text]
         if t.kind == "name":
-            self.next()
-            return SetVar(t.text) if t.text[0].isupper() else AtomVar(t.text)
+            return SetVar(t.text) if _name_sort(t.text) else AtomVar(t.text)
         raise ParseError(f"expected a term, found {t.text!r}", t.pos)
 
 
@@ -232,8 +213,10 @@ def parse(text: str) -> Formula:
     return f
 
 
+# keyed on node classes: looking a node itself up would hash its subtree
 _QUANTIFIER_TEXT = {node: kw for kw, node in _QUANTIFIERS.items()}
-_CONSTANT_TEXT = {term: kw for kw, term in _CONSTANTS.items()}
+_TRUTH_TEXT = {type(c): tok for tok, c in _TRUTHS.items()}
+_RELATION_TEXT = {node: tok for tok, node in reversed(_RELATIONS.items())}
 
 
 def format_formula(f: Formula) -> str:
@@ -241,31 +224,28 @@ def format_formula(f: Formula) -> str:
 
 
 def _fmt(f: Formula, level: int) -> str:
-    if isinstance(f, TrueF):
-        return "true"
-    if isinstance(f, FalseF):
-        return "false"
-    if isinstance(f, Eq):
-        return f"{_fmt_term(f.left)} = {_fmt_term(f.right)}"
-    if isinstance(f, Subset):
-        return f"{_fmt_term(f.left)} sub {_fmt_term(f.right)}"
-    if isinstance(f, Exle):
-        op = "<" if isinstance(f.left, AtomVar) and isinstance(f.right, AtomVar) else "<<"
-        return f"{_fmt_term(f.left)} {op} {_fmt_term(f.right)}"
-    if isinstance(f, At):
+    kind = type(f)
+    if kind in _TRUTH_TEXT:
+        return _TRUTH_TEXT[kind]
+    if kind in _RELATION_TEXT:
+        tok = _RELATION_TEXT[kind]
+        if kind is Exle and isinstance(f.left, AtomVar) and isinstance(f.right, AtomVar):
+            tok = "<"
+        return f"{_fmt_term(f.left)} {tok} {_fmt_term(f.right)}"
+    if kind is At:
         return f"at({_fmt_term(f.arg)})"
-    if isinstance(f, Mem):
+    if kind is Mem:
         return f"{_fmt_term(f.container)}({_fmt_term(f.atom)})"
-    if isinstance(f, Not):
+    if kind is Not:
         return _wrap(f"~{_fmt(f.body, _NOT_LEVEL)}", _NOT_LEVEL, level)
-    if type(f) in _BY_NODE:
-        mine, tok, right = _BY_NODE[type(f)]
+    if kind in _BY_NODE:
+        mine, tok, right = _BY_NODE[kind]
         # the operand on the associative side may hold the same connective
         left_level, right_level = (mine + 1, mine) if right else (mine, mine + 1)
         return _wrap(f"{_fmt(f.left, left_level)} {tok} {_fmt(f.right, right_level)}",
                      mine, level)
-    if type(f) in _QUANTIFIER_TEXT:
-        return _wrap(f"{_QUANTIFIER_TEXT[type(f)]} {f.var}. {_fmt(f.body, 0)}", 0, level)
+    if kind in _QUANTIFIER_TEXT:
+        return _wrap(f"{_QUANTIFIER_TEXT[kind]} {f.var}. {_fmt(f.body, 0)}", 0, level)
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -274,8 +254,6 @@ def _wrap(text: str, mine: int, context: int) -> str:
 
 
 def _fmt_term(t: Term) -> str:
-    if isinstance(t, Variable):
-        return t.name
-    if t in _CONSTANT_TEXT:
-        return _CONSTANT_TEXT[t]
+    if isinstance(t, Term):
+        return str(t)
     raise TypeError(f"not a term: {t!r}")

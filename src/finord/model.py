@@ -26,8 +26,8 @@ import numpy as np
 
 from .formula.nodes import (And, At, Binder, Bot, Eq, Exle, FalseF, Formula,
                             Iff, Implies, MaxAtom, MinAtom, Not, Or, Term,
-                            TrueF, Variable, free_vars, quantifier_depths,
-                            terms_of)
+                            TrueF, Variable, _name_sort, free_vars,
+                            quantifier_depths, terms_of)
 
 DEFAULT_MAX_N = 10
 DEFAULT_MAX_SET_DEPTH = 4
@@ -140,7 +140,7 @@ def evaluate(model: FiniteModel, f: Formula, env: dict[str, int] | None = None,
     for name, val in env.items():
         if not 0 <= val < (1 << model.n):
             raise ValueError(f"env value out of range for {name}")
-        if name[0].islower() and not model.is_atom(val):
+        if _name_sort(name) is False and not model.is_atom(val):
             raise ValueError(f"atom variable {name} must be bound to an atom")
     ev = _Evaluator(model, max_cells)
     arr = ev.eval(f, (), 0, env)
@@ -443,39 +443,16 @@ def product(left: FiniteModel, right: FiniteModel) -> ProductStructure:
 def canonical_iso_check(m: int, n: int) -> bool:
     """Verify that gluing (A, B) to A with B shifted past position m is an
     isomorphism from the pair structure onto FiniteModel(m + n): a bijection
-    preserving bot, inclusion, the cross order, and atomhood, both ways."""
+    preserving bot, inclusion, the cross order, and atomhood, both ways.
+    Every fact is read from the two structures themselves."""
     prod = ProductStructure(FiniteModel(m), FiniteModel(n))
     target = FiniteModel(m + n)
-    low, high, pop = target.bit_tables()
-
-    lefts = np.arange(1 << m, dtype=np.int64)
-    rights = np.arange(1 << n, dtype=np.int64)
-    glued = (lefts[:, None] | (rights[None, :] << m)).reshape(-1)
-    if len(set(glued.tolist())) != 1 << (m + n):
+    pairs = prod.universe()
+    glue = {u: u[0] | u[1] << m for u in pairs}
+    if (sorted(glue.values()) != list(target.universe())
+            or glue[prod.bot] != target.bot
+            or any(prod.is_atom(u) != target.is_atom(glue[u]) for u in pairs)):
         return False
-    if glued[0] != 0:
-        return False
-
-    a = lefts[:, None, None, None]
-    b = rights[None, :, None, None]
-    c = lefts[None, None, :, None]
-    d = rights[None, None, None, :]
-    u = a | (b << m)
-    v = c | (d << m)
-
-    sub_pair = ((a & ~c) == 0) & ((b & ~d) == 0)
-    sub_glued = (u & ~v) == 0
-    if not np.array_equal(np.broadcast_to(sub_pair, sub_glued.shape),
-                          sub_glued):
-        return False
-
-    exle_pair = ((a != 0) & (d != 0)) | (low[a] < high[c]) | (low[b] < high[d])
-    exle_glued = low[u] < high[v]
-    if not np.array_equal(np.broadcast_to(exle_pair, exle_glued.shape),
-                          exle_glued):
-        return False
-
-    at_pair = np.array([[prod.is_atom((int(x), int(y))) for y in rights]
-                        for x in lefts])
-    at_glued = pop[lefts[:, None] | (rights[None, :] << m)] == 1
-    return bool(np.array_equal(at_pair, at_glued))
+    return all(prod.subset(u, v) == target.subset(glue[u], glue[v])
+               and prod.exle(u, v) == target.exle(glue[u], glue[v])
+               for u in pairs for v in pairs)

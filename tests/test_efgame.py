@@ -176,3 +176,14 @@ def test_memo_budget_counts_code_sets():
         ef_winner(FiniteModel(2), FiniteModel(3), 1, memo_budget=0)
     assert ef_winner(FiniteModel(2), FiniteModel(3), 1,
                      memo_budget=2) == DUPLICATOR
+
+
+def test_memo_budget_counts_candidate_answers():
+    # 48 memo entries settle this game, but the search also charges every
+    # Spoiler pick its number of candidate answers
+    left, right = FiniteModel(4), FiniteModel(5)
+    with pytest.raises(ResourceLimitError) as info:
+        ef_winner(left, right, 2, memo_budget=48)
+    for part in ("budget of 48", "2 rounds", "4 and 5 atoms"):
+        assert part in str(info.value)
+    assert ef_winner(left, right, 2, memo_budget=380) == SPOILER

@@ -21,6 +21,8 @@ def test_parse_basic_shapes():
     assert parse("at(X)") == At(SetVar("X"))
     assert parse("X(x)") == Mem(AtomVar("x"), SetVar("X"))
     assert parse("bot(x)") == Mem(AtomVar("x"), Bot())
+    assert parse("X(max)") == Mem(MAX, SetVar("X"))
+    assert parse("bot(min)") == Mem(MIN, Bot())
     assert parse("ex1 x. true") == ExistsAtom("x", TRUE)
     assert parse("all2 X. false") == ForallSet("X", FALSE)
     assert parse("min sub max") == Subset(MIN, MAX)
@@ -50,6 +52,20 @@ def test_parse_errors():
                 "ex1 X. true", "@", "all2. true", "X(Y)", ""]:
         with pytest.raises(ParseError):
             parse(bad)
+
+
+@pytest.mark.parametrize("text,wording,term", [
+    ("min(x)", "set-sorted container", "min"),
+    ("x(y)", "set-sorted container", "x"),
+    ("X(Y)", "atom-sorted element", "Y"),
+    ("bot(X)", "atom-sorted element", "X"),
+])
+def test_membership_sort_errors(text, wording, term):
+    # reported at the container's offset, naming the term, not its repr
+    with pytest.raises(ParseError, match=f"{wording}, got {term} ") as info:
+        parse(f"true & ~{text}")
+    assert info.value.position == len("true & ~")
+    assert "(name=" not in str(info.value)
 
 
 TOO_DEEP = {"negations": "~" * 3000 + "true",

@@ -170,3 +170,13 @@ def test_canonical_iso_check_small_grid():
     for m in range(4):
         for n in range(4):
             assert canonical_iso_check(m, n) is True
+
+
+@pytest.mark.parametrize("relation", ["exle", "subset"])
+def test_canonical_iso_check_reads_the_product(monkeypatch, relation):
+    # the relation with its arguments swapped differs at some pair of 1 + 1
+    # atoms, so a check that reads the product must fail
+    honest = getattr(finord.model.ProductStructure, relation)
+    monkeypatch.setattr(finord.model.ProductStructure, relation,
+                        lambda self, u, v: honest(self, v, u))
+    assert canonical_iso_check(1, 1) is False
