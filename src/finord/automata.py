@@ -171,17 +171,27 @@ def project(a: Dfa, track: str, *, cap: int | None = None) -> Dfa:
     then minimized."""
     if track not in a.tracks:
         raise ValueError(f"no track named {track}")
-    cap = effective_state_cap(cap)
-    pos = a.tracks.index(track)
+    order, rows = _subsets(a.transitions, a.initial, a.tracks.index(track),
+                           effective_state_cap(cap), (
+        "projection", f"operand of {a.n_states} states, {a.width} tracks"))
+    acc_mask = sum(1 << s for s in a.accepting)
+    accepting = frozenset(i for i, subset in enumerate(order)
+                          if subset & acc_mask)
     rest = tuple(t for t in a.tracks if t != track)
+    return minimize(Dfa(rest, tuple(rows), accepting, 0))
+
+
+def _subsets(transitions, initial: int, pos: int, cap: int, stage):
+    """Subset construction erasing letter bit ``pos``: (the state bitmasks
+    in discovery order, successor rows)."""
     zeros = [((letter >> pos) << (pos + 1)) | (letter & ((1 << pos) - 1))
-             for letter in range(1 << len(rest))]
+             for letter in range(len(transitions[0]) // 2)]
     ones = [base | (1 << pos) for base in zeros]
-    bits = [1 << s for s in range(a.n_states)]
+    bits = [1 << s for s in range(len(transitions))]
     # succ[s][letter]: mask of the states s reaches on either lift of letter
     succ = [list(map(or_, map(bits.__getitem__, map(row.__getitem__, zeros)),
                      map(bits.__getitem__, map(row.__getitem__, ones))))
-            for row in a.transitions]
+            for row in transitions]
 
     def successors(subset):
         low = subset & -subset
@@ -193,26 +203,29 @@ def project(a: Dfa, track: str, *, cap: int | None = None) -> Dfa:
             subset ^= low
         return masks
 
-    order, rows = _explore(bits[a.initial], successors, cap, (
-        "projection", f"operand of {a.n_states} states, {a.width} tracks"))
-    acc_mask = sum(bits[s] for s in a.accepting)
-    accepting = frozenset(i for i, subset in enumerate(order)
-                          if subset & acc_mask)
-    return minimize(Dfa(rest, tuple(rows), accepting, 0))
+    return _explore(bits[initial], successors, cap, stage)
 
 
 def minimize(a: Dfa) -> Dfa:
     """Language-minimal DFA with states renumbered in breadth-first
     discovery order (letters ascending), so equal languages over equal
     tracks yield structurally equal automata."""
-    n = a.n_states
-    # Moore partition refinement over all states; cls[s] is the class of s
-    cls = [1 if s in a.accepting else 0 for s in range(n)]
-    count = len(set(cls))
+    reps, rows = _moore(a.transitions, a.initial,
+                        [s in a.accepting for s in range(a.n_states)])
+    accepting = frozenset(i for i, s in enumerate(reps) if s in a.accepting)
+    return Dfa(a.tracks, tuple(rows), accepting, 0)
+
+
+def _moore(transitions, initial: int, labels: list):
+    """Moore partition refinement from one hashable label per state, then
+    the classes reachable from ``initial`` in canonical discovery order:
+    (one member state per class, successor rows)."""
+    n = len(transitions)
+    cls, count = labels, len(set(labels))  # cls[s] is the class of s
     while True:
         sigs: dict[tuple, int] = {}
         cls = [sigs.setdefault((c, *map(cls.__getitem__, row)), len(sigs))
-               for c, row in zip(cls, a.transitions)]
+               for c, row in zip(cls, transitions)]
         if len(sigs) == count:
             break
         count = len(sigs)
@@ -220,13 +233,11 @@ def minimize(a: Dfa) -> Dfa:
     rep = dict(zip(cls, range(n)))
 
     def successors(c):
-        return list(map(cls.__getitem__, a.transitions[rep[c]]))
+        return list(map(cls.__getitem__, transitions[rep[c]]))
 
-    order, rows = _explore(cls[a.initial], successors, n, (
-        "minimization", f"operand of {n} states, {a.width} tracks"))
-    accepting = frozenset(i for i, c in enumerate(order)
-                          if rep[c] in a.accepting)
-    return Dfa(a.tracks, tuple(rows), accepting, 0)
+    order, rows = _explore(cls[initial], successors, n, (
+        "minimization", f"operand of {n} states"))
+    return list(map(rep.__getitem__, order)), rows
 
 
 def equivalent(a: Dfa, b: Dfa, *, cap: int | None = None) -> bool:

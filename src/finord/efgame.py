@@ -1,5 +1,5 @@
-"""Exhaustive solver for the unnested k-round comparison game between two
-finite power-set structures.
+"""Solvers for the unnested k-round comparison game between two finite
+power-set structures.
 
 Each round the first player (Spoiler) picks any element of either structure
 and the second player (Duplicator) answers with an element of the other; the
@@ -7,23 +7,35 @@ second player wins when, after all rounds, every unnested atomic fact — the
 forms X=Y, X⊆Y, X⊑Y, At(X), and every variant with ⊥ for an argument —
 holds of the left tuple exactly as of the right tuple.
 
-Every fact is read from one code per element: against a chosen tuple t, an
-element's code packs its unary facts and its pair facts with each entry of t.
-The solver is a memoized minimax over agreeing positions.  Duplicator's
-answers to a pick are the elements whose code equals the pick's; structures
-of equal size are a Duplicator win at once (copy every move); and a position
-with one round left is a Duplicator win exactly when both sides realize the
-same set of codes, so that every final pick can be mirrored.  One memo holds
+Games of at most two rounds are read off type machines: Moore machines over
+words with one letter per atom and one track per chosen set.  M(0, j)
+outputs its state, the atomic facts of its j sets: per set the popcount
+capped at 2, per ordered pair the ⊆ and ⊑ flags.  M(r+1, j) is the subset
+construction that erases M(r, j+1)'s last track, and a subset outputs the
+set of its members' outputs, the rank-(r+1) type.  Built on first use by the
+compiler's subset construction and Moore refinement, each machine is
+minimized on its outputs, and M(k, 0)'s lasso types every size.
+
+Past two rounds the machines grow too large (M(1, 2) alone has 21 690
+states), and a memoized minimax over agreeing positions searches the game.
+An element's code packs its facts against the chosen tuple, and Duplicator
+answers a pick with the elements of its code.  Structures of equal size are a Duplicator
+win at once (copy every move), and with one round left Duplicator wins
+exactly when both sides realize the same set of codes.  One memo holds
 positions and code sets.  ``memo_budget`` bounds the search's work, counted
 as memo entries plus each Spoiler pick's number of candidate answers.  A
-structure of more than 20 atoms is refused before anything is built, since
-every array the solver makes has one entry per element, 2^n of them.
+structure of more than 20 atoms is refused at every round count, since
+every array the search makes has one entry per element, 2^n of them.
 """
 
 from __future__ import annotations
 
+import functools
+from itertools import permutations
+
 import numpy as np
 
+from .automata import DEFAULT_STATE_CAP, _explore, _moore, _subsets
 from .model import FiniteModel, ResourceLimitError
 
 SPOILER = "Spoiler"
@@ -66,6 +78,37 @@ def atomic_agreement(left: FiniteModel, a_tuple, right: FiniteModel,
                for i, (a, b) in enumerate(zip(a_tuple, b_tuple)))
 
 
+def _atomic_step(state: tuple, letter: int) -> tuple:
+    """M(0, j) reading one atom; letter bit i says whether set i holds it."""
+    pops, subs, exles = state
+    bit = [letter >> i & 1 == 1 for i in range(len(pops))]
+    pairs = list(permutations(range(len(pops)), 2))
+    return (tuple(min(p + b, 2) for p, b in zip(pops, bit)),
+            tuple(s and (bit[y] or not bit[x])
+                  for s, (x, y) in zip(subs, pairs)),
+            tuple(e or (bit[y] and pops[x] > 0)
+                  for e, (x, y) in zip(exles, pairs)))
+
+
+@functools.cache
+def _machine(r: int, j: int) -> tuple[tuple, tuple[int, ...]]:
+    """M(r, j): rows from state 0, and one output id per state."""
+    stage = ("type machine", f"{r} rounds, {j} tracks")
+    if r == 0:
+        start = ((0,) * j, (True,) * (j * j - j), (False,) * (j * j - j))
+        outs, rows = _explore(
+            start, lambda q: [_atomic_step(q, a) for a in range(1 << j)],
+            DEFAULT_STATE_CAP, stage)
+    else:
+        below, below_outs = _machine(r - 1, j + 1)
+        masks, rows = _subsets(below, 0, j, DEFAULT_STATE_CAP, stage)
+        outs = [frozenset(o for s, o in enumerate(below_outs) if mask >> s & 1)
+                for mask in masks]
+    reps, rows = _moore(rows, 0, outs)
+    ids = {o: i for i, o in enumerate(dict.fromkeys(outs[s] for s in reps))}
+    return tuple(rows), tuple(ids[outs[s]] for s in reps)
+
+
 class _Solver:
     """Memoized minimax over agreeing positions."""
 
@@ -87,8 +130,7 @@ class _Solver:
 
     def duplicator_wins(self, a: tuple[int, ...], b: tuple[int, ...],
                         rounds: int) -> bool:
-        left, right = self.models
-        if rounds == 0 or (left.n == right.n and a == b):
+        if self.models[0].n == self.models[1].n and a == b:
             return True
         if rounds == 1:
             return self._entry((0, a)) == self._entry((1, b))
@@ -137,7 +179,14 @@ def ef_winner(left: FiniteModel, right: FiniteModel, k: int, *,
     if left.n > _MAX_ATOMS or right.n > _MAX_ATOMS:
         raise ResourceLimitError(f"game structures of {left.n} and {right.n} "
                                  f"atoms exceed the limit of {_MAX_ATOMS}")
-    won = _Solver(left, right, k, memo_budget).duplicator_wins((), (), k)
+    if k <= 2:
+        # M(k, 0) numbers its lasso in order; later sizes wrap onto the cycle
+        rows, types = _machine(k, 0)
+        tail = rows[-1][0]
+        won = len({types[min(n, tail + (n - tail) % (len(rows) - tail))]
+                   for n in (left.n, right.n)}) == 1
+    else:
+        won = _Solver(left, right, k, memo_budget).duplicator_wins((), (), k)
     return DUPLICATOR if won else SPOILER
 
 

@@ -21,6 +21,10 @@ Every term class declares ``set_sorted``, and a term's ``str`` is its
 surface text.  A name's case gives its sort, uppercase for sets:
 ``_name_sort`` states that rule once, and the constructors of ``Variable``
 and ``Binder`` enforce it, so binding is by bare name without ambiguity.
+A name is an ASCII letter followed by ASCII letters, digits and
+underscores, and no keyword: ``_IDENTIFIER`` and ``_RESERVED`` say so once,
+for the constructors and the tokenizer alike, so every name a constructor
+accepts prints as text that reparses.
 Membership checks its sorts when it is built, for code and text alike: an
 atom-sorted element and a set-sorted container.  The engines read these
 bases and attributes rather than listing classes.
@@ -28,8 +32,13 @@ bases and attributes rather than listing classes.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import ClassVar
+
+_IDENTIFIER = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_RESERVED = frozenset({"true", "false", "bot", "min", "max", "at", "sub",
+                       "ex1", "ex2", "all1", "all2"})
 
 
 def _name_sort(name: str) -> bool | None:
@@ -40,7 +49,7 @@ def _name_sort(name: str) -> bool | None:
 
 
 def _check_name(node, name: str, set_sorted: bool) -> None:
-    if not name or not (name[0].isalpha()) or not name.replace("_", "").isalnum():
+    if not _IDENTIFIER.fullmatch(name) or name in _RESERVED:
         raise ValueError(f"bad identifier: {name!r}")
     if _name_sort(name) != set_sorted:
         case = "an uppercase" if set_sorted else "a lowercase"

@@ -3,9 +3,9 @@
 Precedence, loosest first: quantifier body (maximal scope), <->, ->, |, &, ~.
 The binary connectives with their associativity (-> and <-> to the right,
 & and | to the left), the constants, the relations and the quantifiers are
-one table each, which the parser and the printer both read.  Keywords
-(true false bot min max at sub ex1 ex2 all1 all2) are reserved and cannot
-name variables, and a name's case gives its sort.  Membership X(x) is a
+one table each, which the parser and the printer both read.  The name
+syntax and the reserved keywords are ``nodes._IDENTIFIER`` and
+``nodes._RESERVED``, and a name's case gives its sort.  Membership X(x) is a
 term applied to a term; ``Mem`` checks its sorts, and a sort error is a
 ``ParseError`` at the container.  Nesting more than 150 levels deep
 (counting connective operands, negations, quantifier bodies and
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .nodes import (AtomVar, BOT, Eq, Exle, ExistsAtom, ExistsSet, FALSE,
                     ForallAtom, ForallSet, Formula, And, At, Iff, Implies,
                     MAX, MIN, Mem, Not, Or, SetVar, Subset, Term, TRUE,
-                    _name_sort)
+                    _IDENTIFIER, _RESERVED, _name_sort)
 
 # Binary connectives, loosest first: (token, node, right-associative).
 # Entry i binds at level i + 1; level 0 is a quantifier body or the whole
@@ -44,17 +44,15 @@ _TRUTHS = {"true": TRUE, "false": FALSE}
 # "<" only between two atom variables
 _RELATIONS = {"=": Eq, "sub": Subset, "<<": Exle, "<": Exle}
 
-KEYWORDS = {"at", "sub", *_TRUTHS, *_QUANTIFIERS, *_CONSTANTS}
-
 # Deep enough for the largest builder output the benchmark parses
 # (``build_psi("eq", 40)`` prints 123 levels deep), shallow enough that
 # desugaring, compiling and evaluating what parses stays within Python's
 # default recursion limit.
 _MAX_DEPTH = 150
 
-_TOKEN_RE = re.compile(r"""
+_TOKEN_RE = re.compile(rf"""
     (?P<ws>\s+)
-  | (?P<name>[A-Za-z][A-Za-z0-9_]*)
+  | (?P<name>{_IDENTIFIER.pattern})
   | (?P<op><->|->|<<|<|=|&|\||~|\(|\)|\.)
 """, re.VERBOSE)
 
@@ -81,7 +79,7 @@ def _tokenize(text: str) -> list[_Token]:
             raise ParseError(f"unexpected character {text[i]!r}", i)
         if m.lastgroup != "ws":
             word = m.group()
-            kind = "kw" if word in KEYWORDS else m.lastgroup
+            kind = "kw" if word in _RESERVED else m.lastgroup
             out.append(_Token(kind, word, i))
         i = m.end()
     out.append(_Token("end", "", len(text)))

@@ -6,6 +6,7 @@ import pytest
 
 from finord import (DUPLICATOR, SPOILER, FiniteModel, ResourceLimitError,
                     atomic_agreement, cli, ef_equiv, ef_winner)
+from finord.efgame import DEFAULT_MEMO_BUDGET, _atomic_step, _machine, _Solver
 
 
 def test_winner_examples():
@@ -23,18 +24,34 @@ def test_zero_rounds_always_duplicator():
 
 def test_one_round_classes():
     # sizes 0 and 1 are alone; everything from 2 up collapses
-    for m in range(7):
-        for n in range(7):
+    for m in range(21):
+        for n in range(21):
             expected = m == n or (m >= 2 and n >= 2)
             assert ef_equiv(m, n, 1) is expected, (m, n)
 
 
 def test_two_round_classes():
     # sizes 0..5 are alone; everything from 6 up collapses
-    for m in range(9):
-        for n in range(9):
+    for m in range(21):
+        for n in range(21):
             expected = m == n or (m >= 6 and n >= 6)
             assert ef_equiv(m, n, 2) is expected, (m, n)
+
+
+def test_type_machines_match_search():
+    # the search stays the oracle for the games read off the type machines
+    for k in (1, 2):
+        for m in range(9):
+            for n in range(9):
+                left, right = FiniteModel(m), FiniteModel(n)
+                won = _Solver(left, right, k, DEFAULT_MEMO_BUDGET
+                              ).duplicator_wins((), (), k)
+                assert ef_equiv(m, n, k) is won, (m, n, k)
+
+
+def test_two_round_games_ignore_the_memo_budget():
+    assert ef_equiv(12, 13, 2, memo_budget=0) is True
+    assert ef_equiv(19, 20, 2, memo_budget=0) is True
 
 
 def test_three_round_small_separations():
@@ -111,21 +128,75 @@ def _naive_duplicator_wins(left, right, a_tuple, b_tuple, rounds):
                     for c in right.universe()))
 
 
-def test_atomic_agreement_matches_plain_definition():
+def _random_tuple_pairs():
+    """3000 seeded (left, a, right, b): structures of up to 5 atoms and
+    tuples of up to 14 entries, since codes past 12 entries leave int64."""
     rng = random.Random(3)
-    agreed = 0
     for _ in range(3000):
         m, n = rng.randint(0, 5), rng.randint(0, 5)
-        # up to 14 entries: codes past 12 entries leave int64
         length = rng.choice([0, 1, 2, 3, 4, 14])
         a = tuple(rng.randrange(1 << m) for _ in range(length))
         b = (a if m == n and rng.random() < 0.3 else
              tuple(rng.randrange(1 << n) for _ in range(length)))
-        left, right = FiniteModel(m), FiniteModel(n)
+        yield FiniteModel(m), a, FiniteModel(n), b
+
+
+def test_atomic_agreement_matches_plain_definition():
+    agreed = 0
+    for left, a, right, b in _random_tuple_pairs():
         want = _plain_agreement(left, a, right, b)
-        assert atomic_agreement(left, a, right, b) is want, (m, a, n, b)
+        assert atomic_agreement(left, a, right, b) is want, (left, a, right, b)
         agreed += want
     assert 300 < agreed < 2700
+
+
+def _letters(model, t):
+    """The word that spells tuple t over model's atoms, one track per entry."""
+    return [sum((e >> p & 1) << i for i, e in enumerate(t))
+            for p in range(model.n)]
+
+
+def _atomic_output(model, t):
+    """M(0, len(t))'s output, its state, by folding its transition."""
+    pairs = len(t) * (len(t) - 1)
+    state = ((0,) * len(t), (True,) * pairs, (False,) * pairs)
+    for letter in _letters(model, t):
+        state = _atomic_step(state, letter)
+    return state
+
+
+def _machine_output(model, t, rounds=0):
+    rows, outputs = _machine(rounds, len(t))
+    state = 0
+    for letter in _letters(model, t):
+        state = rows[state][letter]
+    return outputs[state]
+
+
+def test_atomic_machine_matches_atomic_agreement():
+    # the built and minimized machine on up to two tracks, the transition
+    # itself on every tuple
+    for left, a, right, b in _random_tuple_pairs():
+        want = atomic_agreement(left, a, right, b)
+        assert (_atomic_output(left, a) == _atomic_output(right, b)) is want
+        if len(a) <= 2:
+            assert (_machine_output(left, a)
+                    == _machine_output(right, b)) is want, (left, a, right, b)
+
+
+def test_one_track_machine_matches_search():
+    # M(1, 1) gives two sets one type exactly when they agree and Duplicator
+    # wins the one round left from them
+    for m in range(5):
+        for n in range(5):
+            left, right = FiniteModel(m), FiniteModel(n)
+            solver = _Solver(left, right, 1, DEFAULT_MEMO_BUDGET)
+            for a in left.universe():
+                for b in right.universe():
+                    want = (atomic_agreement(left, (a,), right, (b,))
+                            and solver.duplicator_wins((a,), (b,), 1))
+                    assert (_machine_output(left, (a,), 1)
+                            == _machine_output(right, (b,), 1)) is want
 
 
 def test_atomic_agreement_validation():
@@ -152,8 +223,9 @@ def test_round_count_validation():
 
 
 def test_memo_budget_enforced():
+    # games of at most two rounds never search, so the budget binds from 3
     with pytest.raises(ResourceLimitError):
-        ef_winner(FiniteModel(3), FiniteModel(4), 2, memo_budget=0)
+        ef_winner(FiniteModel(3), FiniteModel(4), 3, memo_budget=0)
 
 
 def test_atom_limit(capsys):
@@ -171,19 +243,20 @@ def test_atom_limit(capsys):
 
 
 def test_memo_budget_counts_code_sets():
-    # one round left: only the two sides' code sets are stored
+    # 2 positions, 6 code sets compared with one round left, and 5 candidate
+    # answers: without the code sets the search would spend 7
     with pytest.raises(ResourceLimitError):
-        ef_winner(FiniteModel(2), FiniteModel(3), 1, memo_budget=0)
-    assert ef_winner(FiniteModel(2), FiniteModel(3), 1,
-                     memo_budget=2) == DUPLICATOR
+        ef_winner(FiniteModel(2), FiniteModel(3), 3, memo_budget=12)
+    assert ef_winner(FiniteModel(2), FiniteModel(3), 3,
+                     memo_budget=13) == SPOILER
 
 
 def test_memo_budget_counts_candidate_answers():
-    # 48 memo entries settle this game, but the search also charges every
+    # 50 memo entries settle this game, but the search also charges every
     # Spoiler pick its number of candidate answers
     left, right = FiniteModel(4), FiniteModel(5)
     with pytest.raises(ResourceLimitError) as info:
-        ef_winner(left, right, 2, memo_budget=48)
-    for part in ("budget of 48", "2 rounds", "4 and 5 atoms"):
+        ef_winner(left, right, 3, memo_budget=50)
+    for part in ("budget of 50", "3 rounds", "4 and 5 atoms"):
         assert part in str(info.value)
-    assert ef_winner(left, right, 2, memo_budget=380) == SPOILER
+    assert ef_winner(left, right, 3, memo_budget=382) == SPOILER

@@ -12,6 +12,7 @@ from finord import (FALSE, MAX, MIN, TRUE, And, At, AtomVar, Bot, Eq,
                     is_sentence, parse, quantifier_depths, relativize,
                     slow_evaluate, spectrum)
 from finord import cli
+from finord.formula import parser
 
 
 def test_parse_basic_shapes():
@@ -221,6 +222,23 @@ def test_builder_argument_validation():
         build_sum(parse("X = X"), TRUE)
     with pytest.raises(ValueError):
         build_comp(parse("X(x) & Y(x)"), "x", ["X"])
+
+
+def test_names_the_tokenizer_refuses_are_refused():
+    # both printed text that did not reparse: "ex1 at. at = min"
+    with pytest.raises(ValueError, match="bad identifier"):
+        ExistsAtom("at", Eq(AtomVar("x"), MIN))
+    with pytest.raises(ValueError, match="bad identifier"):
+        ExistsAtom("é", TRUE)
+    for name in ("ex2", "sub", "X\n", "x-y", "_x", "1x", ""):
+        with pytest.raises(ValueError, match="bad identifier"):
+            SetVar(name) if name[:1].isupper() else AtomVar(name)
+
+
+def test_reserved_words_are_the_parser_keywords():
+    # the words the parser's tables give a meaning are exactly the reserved
+    assert parser._RESERVED == {"at", "sub", *parser._TRUTHS,
+                                *parser._QUANTIFIERS, *parser._CONSTANTS}
 
 
 def test_relativize_validation():

@@ -6,6 +6,8 @@ that reuse a name in scope, and min/max inside membership and the other
 atomic formulas.
 """
 
+from contextlib import suppress
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -81,3 +83,30 @@ def test_desugar_preserves_truth(f, data):
                for v in names}
         m = FiniteModel(n)
         assert slow_evaluate(m, f, env) == slow_evaluate(m, d, env), (n, env)
+
+
+KEYWORDS = ("true", "false", "bot", "min", "max", "at", "sub",
+            "ex1", "ex2", "all1", "all2")
+# keywords, well-formed names, and short texts over characters at the edge
+# of the name syntax: non-ASCII letters, digits, underscores, whitespace
+NAMES = st.one_of(st.sampled_from(KEYWORDS),
+                  st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,5}", fullmatch=True),
+                  st.text(alphabet="aZ0_é\u00aa \n.", max_size=4),
+                  st.text(max_size=4))
+
+
+@settings(max_examples=500, deadline=None)
+@given(NAMES)
+def test_accepted_names_reparse(name):
+    accepted = []
+    for var, binders, term in ((SetVar, (ExistsSet, ForallSet), Bot()),
+                               (AtomVar, (ExistsAtom, ForallAtom), MIN)):
+        with suppress(ValueError):
+            accepted.append(Eq(var(name), term))
+        for binder in binders:
+            with suppress(ValueError):
+                accepted.append(binder(name, TRUE))
+    for f in accepted:
+        assert parse(format_formula(f)) == f
+    if name in KEYWORDS:
+        assert not accepted
