@@ -288,6 +288,42 @@ def fresh_names(used):
             yield cand
 
 
+# Per node of a formula, keyed by id: its free variables and its nesting of
+# set binders, of all binders, and of connectives and binders.
+Summaries = dict[int, tuple[frozenset[str], int, int, int]]
+
+
+def summarize(f: Formula) -> Summaries:
+    """Summarize every node of f, children first, in one pass without
+    recursion, so that a formula of any depth can be inspected."""
+    order, stack = [], [f]
+    while stack:
+        order.append(g := stack.pop())
+        if isinstance(g, Binary):
+            stack += (g.left, g.right)
+        elif isinstance(g, (Not, Binder)):
+            stack.append(g.body)
+    out: Summaries = {}
+    for g in reversed(order):
+        # conditional expressions rather than max(): this runs on every
+        # evaluate call, and small sentences are most of them
+        if isinstance(g, Binary):
+            lf, ls, lb, ld = out[id(g.left)]
+            rf, rs, rb, rd = out[id(g.right)]
+            out[id(g)] = (lf | rf, ls if ls > rs else rs,
+                          lb if lb > rb else rb, (ld if ld > rd else rd) + 1)
+        elif isinstance(g, (Not, Binder)):
+            free, sets, binders, depth = out[id(g.body)]
+            if isinstance(g, Binder):
+                free, sets, binders = (free - {g.var}, sets + g.over_sets,
+                                       binders + 1)
+            out[id(g)] = (free, sets, binders, depth + 1)
+        else:
+            out[id(g)] = (frozenset([t.name for t in terms_of(g)
+                                     if isinstance(t, Variable)]), 0, 0, 0)
+    return out
+
+
 def quantifier_depths(f: Formula) -> tuple[int, int]:
     """(max nesting of set binders, max nesting of atom binders)."""
     s = a = 0

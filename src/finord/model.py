@@ -5,12 +5,20 @@ elements are bitmasks, atoms are single bits, ``exle`` holds when some
 position of the left set strictly precedes some position of the right set.
 
 ``evaluate`` computes standard truth by exhaustive enumeration, vectorized
-with numpy: each open variable contributes one table axis (2^n values for a
-set variable, n for an atom variable) and quantifiers reduce their axis.
-Over large tables an atom quantifier instead folds one atom at a time,
-stopping once the answer is settled, so that no table widens by n.
-Costs are exponential and guarded by explicit limits, and at most 32
-binders may be open at once.
+with numpy over bool tables with one axis per open variable (n values for
+an atom variable).  An atom quantifier reduces its axis; over a large table
+it folds one atom at a time instead, stopping once the answer is settled,
+so that no table widens by n.  A run of same-kind set quantifiers is one
+join: its body is split into parts along its And chain (Or chain under
+all2) and, for several variables, through what distributes over that
+chain; a variable gets an axis of 2^n values when the first part that reads
+it runs, and when few cells survive a part they are compacted onto one axis
+of rows shared by the variables bound so far.  One pass without recursion
+over the formula, on entry, finds every node's free variables and nesting,
+which the join reads to order its parts.
+Costs are exponential and guarded by explicit limits: the nesting of
+formulas, of set quantifiers and of binders (at most 32, each opening at
+most one numpy axis), and the cells of every table, rows included.
 
 ``slow_evaluate`` is the same semantics as direct recursion over any finite
 structure object; it exists to cross-check ``evaluate`` and to interpret
@@ -20,25 +28,32 @@ product structures, whose universe is pairs.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import prod
 from operator import and_, eq, le, or_
 
 import numpy as np
 
 from .formula.nodes import (And, At, Binder, Bot, Eq, Exle, FalseF, Formula,
-                            Iff, Implies, MaxAtom, MinAtom, Not, Or, Term,
-                            TrueF, Variable, _name_sort, free_vars,
-                            quantifier_depths, terms_of)
+                            Iff, Implies, MaxAtom, MinAtom, Not, Or,
+                            Summaries, Term, TrueF, Variable, _name_sort,
+                            rebuild, summarize, terms_of)
+from .formula.parser import _MAX_DEPTH
 
 DEFAULT_MAX_N = 10
 DEFAULT_MAX_SET_DEPTH = 4
 DEFAULT_MAX_CELLS = 2 ** 30
 _SLICE_CELLS = 2 ** 18
-# Each binder opens one table axis, and numpy before 2.0 allows 32 axes.
+# A join compacts its table onto rows once at most 1/_KEEP of the cells
+# survive: a dense table spends a byte per cell but keeps each variable on
+# its own axis, rows spend 8 bytes per variable and row.
+_KEEP = 8
+# Each binder opens at most one table axis, and numpy before 2.0 allows 32.
 _MAX_AXES = 32
 
 # A binding is (name, axis, values): the variable ranges over the int64
 # array `values`, laid along table axis `axis`.  A folding atom quantifier
-# binds one atom at a time as a one-value slice, so its axis stays size 1.
+# binds one atom at a time as a one-value slice, so its axis stays size 1;
+# the set variables of a join's rows share one axis, each with its values.
 _Binding = tuple[str, int, np.ndarray]
 
 # Truth function on Python bools, and the same function on bool tables.
@@ -122,6 +137,15 @@ def _bit_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return low, high, pop
 
 
+@lru_cache(maxsize=16)
+def _domains(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only bitmasks of every set and of every atom."""
+    sets = np.arange(1 << n, dtype=np.int64)
+    atoms = np.int64(1) << np.arange(n, dtype=np.int64)
+    sets.flags.writeable = atoms.flags.writeable = False
+    return sets, atoms
+
+
 def evaluate(model: FiniteModel, f: Formula, env: dict[str, int] | None = None,
              *, max_n: int = DEFAULT_MAX_N,
              max_set_depth: int = DEFAULT_MAX_SET_DEPTH,
@@ -129,12 +153,16 @@ def evaluate(model: FiniteModel, f: Formula, env: dict[str, int] | None = None,
     """Standard truth of f in the model, free variables read from env."""
     if model.n > max_n:
         raise ResourceLimitError(f"model size {model.n} exceeds limit {max_n}")
-    depth = quantifier_depths(f)[0]
-    if depth > max_set_depth:
-        raise ResourceLimitError(
-            f"set quantifier nesting {depth} exceeds limit {max_set_depth}")
+    info = summarize(f)
+    free, set_depth, binders, depth = info[id(f)]
+    for what, value, limit in (("formula", depth, _MAX_DEPTH),
+                               ("set quantifier", set_depth, max_set_depth),
+                               ("binder", binders, _MAX_AXES)):
+        if value > limit:
+            raise ResourceLimitError(
+                f"{what} nesting {value} exceeds limit {limit}")
     env = dict(env or {})
-    missing = free_vars(f) - set(env)
+    missing = free - set(env)
     if missing:
         raise ValueError(f"unbound variables: {sorted(missing)}")
     for name, val in env.items():
@@ -142,23 +170,22 @@ def evaluate(model: FiniteModel, f: Formula, env: dict[str, int] | None = None,
             raise ValueError(f"env value out of range for {name}")
         if _name_sort(name) is False and not model.is_atom(val):
             raise ValueError(f"atom variable {name} must be bound to an atom")
-    ev = _Evaluator(model, max_cells)
-    arr = ev.eval(f, (), 0, env)
+    arr = _Evaluator(model, max_cells, info).eval(f, (), 0, env)
     return bool(arr.reshape(()))
 
 
 class _Evaluator:
     """Recursive table builder.  Every array returned for a node has
-    ndim == naxes (the number of axis bindings open at that node), with each
-    axis sized either 1 or its full domain; binary connectives broadcast and
-    quantifiers reduce their own (innermost, hence last) axis."""
+    ndim == naxes (the number of axes open at that node), with each axis
+    sized either 1 or its full length; binary connectives broadcast and
+    quantifiers reduce the axes they open, which come last."""
 
-    def __init__(self, model: FiniteModel, max_cells: int):
+    def __init__(self, model: FiniteModel, max_cells: int, info: Summaries):
         self.model = model
         self.max_cells = max_cells
-        n = model.n
-        self.set_values = np.arange(1 << n, dtype=np.int64)
-        self.atom_values = (np.int64(1) << np.arange(n, dtype=np.int64))
+        self.info = info
+        self.plans: dict[int, tuple] = {}
+        self.set_values, self.atom_values = _domains(model.n)
         self.low, self.high, self.pop = model.bit_tables()
 
     def eval(self, f: Formula, binds: tuple[_Binding, ...], naxes: int,
@@ -189,31 +216,122 @@ class _Evaluator:
                 return left if truth(True, c) else self._neg(left)
             return self._merge(table_op, left, right)
         if isinstance(f, Binder):
-            return self._quant(f, binds, naxes, env)
+            quant = self._join if f.over_sets else self._quant
+            return quant(f, binds, naxes, env)
         return self._atomic(f, binds, naxes, env)
+
+    def _plan(self, f: Binder) -> tuple[list[str], list[tuple[int, Formula]]]:
+        """The run of same-kind set binders that f opens, and the parts of
+        its body, each with the index of the last of those variables it
+        reads.  Parts run in order of that index, then of set-binder and
+        binder nesting, so that cheap parts thin the rows first."""
+        names, body = [], f
+        while (isinstance(body, Binder) and body.over_sets
+               and body.exists == f.exists and body.var not in names):
+            names.append(body.var)
+            body = body.body
+        keyed = []
+        for g in self._split(body, f.exists, len(names) > 1):
+            free, sets, binders, _ = self.info[id(g)]
+            level = max([i for i, v in enumerate(names) if v in free],
+                        default=-1)
+            keyed.append((level, sets, binders, len(keyed), g))
+        return names, [(k[0], k[-1]) for k in sorted(keyed)]
+
+    def _split(self, f: Formula, exists: bool, deep: bool) -> list[Formula]:
+        """The parts of f's And chain (Or chain when not exists).  When
+        deep, that is when the block has several variables, a part is
+        split further through what distributes over the chain: an atom
+        binder of the other kind, which stays on every piece so that a
+        vacuous one keeps its meaning at size 0, and an implication's
+        right side.  The pieces can then run as soon as their own
+        variables are bound."""
+        parts, stack = [], [f]
+        while stack:
+            g = stack.pop()
+            if type(g) is (And if exists else Or):
+                stack += (g.right, g.left)
+                continue
+            implies = type(g) is Implies
+            pieces = [g]
+            if deep and (implies or isinstance(g, Binder) and not g.over_sets
+                         and g.exists != exists):
+                pieces = self._split(g.right if implies else g.body, exists,
+                                     deep)
+            if len(pieces) == 1:
+                parts.append(g)
+                continue
+            for h in pieces:
+                parts.append(rebuild(g, (g.left, h) if implies else (h,)))
+                self.info.update(summarize(parts[-1]))
+        return parts
+
+    def _join(self, f: Binder, binds: tuple[_Binding, ...], naxes: int,
+              env: dict) -> np.ndarray:
+        """Run the block that f opens as a join.  A variable gets its own
+        axis when the first part that reads it runs, and each part is
+        merged into acc.  When at most 1/_KEEP of the cells stay undecided
+        (true under ex2, false under all2) for some outer assignment, they
+        move onto one row axis that the bound variables share.  After the
+        last part the block's axes are reduced, so a block of one part is a
+        plain axis reduction."""
+        plan = self.plans.get(id(f))
+        if plan is None:
+            plan = self.plans[id(f)] = self._plan(f)
+        names, parts = plan
+        exists = f.exists
+        block: list[_Binding] = []
+        sizes: list[int] = []
+        acc: np.ndarray | None = None
+        for i, (level, g) in enumerate(parts):
+            while len(block) <= level:
+                block.append((names[len(block)], naxes + len(sizes),
+                              self.set_values))
+                sizes.append(len(self.set_values))
+                acc = None if acc is None else acc[..., None]
+            table = self.eval(g, binds + tuple(block), naxes + len(sizes), env)
+            if table.size == 1:
+                # one value for every cell: it settles the block or
+                # leaves acc as it is
+                if bool(table.reshape(())) != exists:
+                    return self._const(not exists, naxes)
+                continue
+            acc = table if acc is None else self._merge(
+                np.logical_and if exists else np.logical_or, acc, table)
+            if not sizes or i + 1 == len(parts):
+                continue
+            live = acc if exists else ~acc
+            if naxes:
+                live = live.any(axis=tuple(range(naxes)))
+            count = np.count_nonzero(live) * prod(sizes) // live.size
+            if not count:
+                return self._const(not exists, naxes)
+            if _KEEP * count <= prod(sizes):
+                self._guard(acc.shape[:naxes] + (count,))
+                rows = np.nonzero(np.broadcast_to(live, sizes))
+                block = [(name, naxes, values[rows[axis - naxes]])
+                         for name, axis, values in block]
+                acc = np.broadcast_to(acc, acc.shape[:naxes] + tuple(sizes))
+                acc, sizes = acc[(Ellipsis,) + rows], [count]
+        if acc is None:
+            return self._const(exists, naxes)
+        axes = tuple(range(naxes, acc.ndim))
+        return acc.any(axis=axes) if exists else acc.all(axis=axes)
 
     def _quant(self, f: Binder, binds: tuple[_Binding, ...], naxes: int,
                env: dict) -> np.ndarray:
-        """Reduce the body over the variable's domain, bound on a new last
-        axis: in one piece, or, for an atom whose estimated live table
-        exceeds _SLICE_CELLS, one atom at a time until the answer is
-        settled."""
-        if naxes >= _MAX_AXES:
-            raise ResourceLimitError(
-                f"binder nesting {naxes + 1} exceeds limit {_MAX_AXES}")
+        """Reduce an atom quantifier's body over a new last axis: in one
+        piece or, when the estimated live table exceeds _SLICE_CELLS, one
+        atom at a time until the answer is settled."""
         exists = f.exists
-        values = self.set_values if f.over_sets else self.atom_values
+        values = self.atom_values
         if not len(values):
             return self._const(not exists, naxes)
+        free = self.info[id(f.body)][0]
+        sizes = {axis: len(v) for name, axis, v in binds if name in free}
         pieces = [values]
-        if not f.over_sets:
-            live = free_vars(f.body)
-            est = len(values)
-            for name, _axis, bound in binds:
-                if name in live:
-                    est *= len(bound)
-            if est > _SLICE_CELLS:
-                pieces = [values[i:i + 1] for i in range(len(values))]
+        if len(values) * prod(sizes.values()) > _SLICE_CELLS:
+            pieces = [values[i:i + 1] for i in range(len(values))]
         op = np.logical_or if exists else np.logical_and
         acc: np.ndarray | None = None
         for piece in pieces:
@@ -278,9 +396,7 @@ class _Evaluator:
         return np.array(value, dtype=np.int64, ndmin=naxes)
 
     def _guard(self, shape: tuple[int, ...]) -> None:
-        cells = 1
-        for s in shape:
-            cells *= s
+        cells = prod(shape)
         if cells > self.max_cells:
             raise ResourceLimitError(
                 f"table of {cells} cells exceeds limit {self.max_cells}")
@@ -288,9 +404,11 @@ class _Evaluator:
     # Every bool table returned by eval() is freshly allocated for exactly
     # one parent node, so a full-shaped operand can safely serve as the
     # output buffer; this keeps conjunction chains at one live table.
+    # Operands have one ndim and each axis is 1 or full, so the broadcast
+    # shape is the larger size per axis.
 
     def _merge(self, op, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        shape = np.broadcast_shapes(a.shape, b.shape)
+        shape = tuple(map(max, a.shape, b.shape))
         self._guard(shape)
         if a.shape == shape and a.dtype == bool and a.flags.writeable:
             return op(a, b, out=a)

@@ -1,8 +1,10 @@
 """Formula layer: grammar roundtrips, sorts, sugar elimination, builders."""
 
+import random
+
 import pytest
 
-from corpus import CORPUS
+from corpus import CORPUS, _random_sentence
 from finord import (FALSE, MAX, MIN, TRUE, And, At, AtomVar, Bot, Eq,
                     ExistsAtom, ExistsSet, Exle, FiniteModel, ForallAtom,
                     ForallSet, Iff, Implies, Mem, Not, Or, ParseError,
@@ -13,6 +15,7 @@ from finord import (FALSE, MAX, MIN, TRUE, And, At, AtomVar, Bot, Eq,
                     slow_evaluate, spectrum)
 from finord import cli
 from finord.formula import parser
+from finord.formula.nodes import subformulas, summarize
 
 
 def test_parse_basic_shapes():
@@ -189,6 +192,26 @@ def test_quantifier_depths():
     assert quantifier_depths(TRUE) == (0, 0)
     assert quantifier_depths(parse("ex2 X. ex1 x. all2 Y. true")) == (2, 1)
     assert quantifier_depths(build_psi("gt", 2))[0] == 0
+
+
+def test_summarize_matches_the_recursive_walks():
+    # every node's free variables and set nesting agree with free_vars
+    # and quantifier_depths; binder nesting and depth count along a path
+    rng = random.Random(5)
+    formulas = [f for _, f in CORPUS]
+    formulas += [_random_sentence(rng, 3, ("X",), ("y",)) for _ in range(200)]
+    for f in formulas:
+        info = summarize(f)
+        stack = [f]
+        while stack:
+            g = stack.pop()
+            stack += subformulas(g)
+            free, sets, _, _ = info[id(g)]
+            assert free == free_vars(g) and sets == quantifier_depths(g)[0]
+    f = parse("ex2 X. (ex1 x. all1 y. x << y) & ~(X = bot)")
+    assert summarize(f)[id(f)] == (frozenset(), 1, 3, 4)
+    chain = conj([TRUE] * 3000)
+    assert summarize(chain)[id(chain)] == (frozenset(), 0, 0, 2999)
 
 
 def test_free_vars():

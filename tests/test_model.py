@@ -7,9 +7,10 @@ import pytest
 
 from corpus import CORPUS, _random_sentence
 import finord.model
-from finord import (FiniteModel, ResourceLimitError, build_psi, build_rho,
-                    canonical_iso_check, evaluate, free_set_vars, parse,
-                    product, slow_evaluate)
+from finord import (TRUE, ExistsAtom, ExistsSet, FiniteModel, ForallAtom,
+                    ForallSet, Implies, Not, ResourceLimitError, build_psi,
+                    build_rho, canonical_iso_check, conj, disj, evaluate,
+                    free_set_vars, parse, product, slow_evaluate)
 
 
 def _popcount(x):
@@ -149,6 +150,132 @@ def test_open_binder_limit():
         assert evaluate(m, nested(32)) == slow_evaluate(m, nested(32))
     with pytest.raises(ResourceLimitError, match="nesting 33 exceeds limit 32"):
         evaluate(FiniteModel(2), nested(33))
+
+
+def test_deep_formulas_are_refused_without_recursion():
+    # built in code, past the parser's nesting limit of 150
+    for f, depth in [(conj([TRUE] * 3000), 2999), (_not_chain(3000), 3000)]:
+        with pytest.raises(ResourceLimitError,
+                           match=f"nesting {depth} exceeds limit 150"):
+            evaluate(FiniteModel(2), f)
+    # the deepest formula the parser accepts still evaluates
+    assert evaluate(FiniteModel(2), _not_chain(150)) is True
+    assert evaluate(FiniteModel(2), parse("~" * 150 + "true")) is True
+
+
+def _not_chain(k):
+    f = TRUE
+    for _ in range(k):
+        f = Not(f)
+    return f
+
+
+_DEFAULT_KEEP = finord.model._KEEP
+
+
+def _check_join(monkeypatch, m, f, env=None):
+    """evaluate agrees with slow_evaluate both with the default compaction
+    rule and with a join that compacts after every part, so the row path
+    is checked at sizes where few parts are selective enough."""
+    want = slow_evaluate(m, f, env)
+    for keep in (_DEFAULT_KEEP, 0):
+        monkeypatch.setattr(finord.model, "_KEEP", keep)
+        assert evaluate(m, f, env, max_set_depth=6) == want, (keep, m, env, f)
+
+
+def _random_block(rng, outer_sets, outer_atoms):
+    """One block of 1-3 same-kind set binders whose body is a conjunction
+    (a disjunction under all2) of 1-4 parts over the block's and the
+    outer variables.  Some parts are themselves a conjunction (under all2
+    a disjunction) under an atom binder, which may be vacuous, or behind
+    an implication; the block's last variables may go unused."""
+    exists = rng.random() < 0.5
+    names = tuple(f"B{i}" for i in range(rng.randint(1, 3)))
+    sets = outer_sets + names[:rng.randint(1, len(names))]
+    join = conj if exists else disj
+
+    def part(atoms):
+        return _random_sentence(rng, 1, sets, atoms)
+
+    parts = []
+    for _ in range(rng.randint(1, 4)):
+        roll = rng.random()
+        if roll < 0.25:
+            binder = rng.choice([ExistsAtom, ForallAtom])
+            parts.append(binder("z", join([part(outer_atoms + ("z",)),
+                                           part(outer_atoms + ("z",))])))
+        elif roll < 0.35:
+            parts.append(Implies(part(outer_atoms),
+                                 join([part(outer_atoms), part(outer_atoms)])))
+        else:
+            parts.append(part(outer_atoms))
+    f = join(parts)
+    for name in reversed(names):
+        f = (ExistsSet if exists else ForallSet)(name, f)
+    return f
+
+
+def test_join_agrees_on_random_blocks(monkeypatch):
+    rng = random.Random(13)
+    for _ in range(60):
+        f = _random_block(rng, (), ())
+        for n in range(5):
+            _check_join(monkeypatch, FiniteModel(n), f)
+
+
+def test_join_agrees_under_open_axes(monkeypatch):
+    # the block runs under an outer set axis and an outer atom axis (the
+    # atom binder between keeps X out of the block), or reads the same
+    # variables from env
+    rng = random.Random(17)
+    for _ in range(30):
+        body = _random_block(rng, ("X",), ("y",))
+        outer = rng.choice([ExistsSet, ForallSet])(
+            "X", rng.choice([ExistsAtom, ForallAtom])("y", body))
+        for n in range(4):
+            m = FiniteModel(n)
+            _check_join(monkeypatch, m, outer)
+            for _ in range(min(n, 2)):
+                env = {"X": rng.randrange(1 << n), "y": 1 << rng.randrange(n)}
+                _check_join(monkeypatch, m, body, env)
+
+
+def test_join_keeps_vacuous_binders():
+    # a part that reads no block variable runs before any is bound, a
+    # block variable that no part reads is never bound, and a part split
+    # through an atom binder keeps the binder on every piece; at size 0
+    # every atom binder is vacuous, so "all1" holds and "ex1" fails
+    cases = [("ex2 A. ex2 B. (all1 x. false) & A = B", True),
+             ("all2 A. all2 B. (ex1 x. true) | ~(A = B)", False),
+             ("ex2 A. ex2 B. ex2 C. A sub B & (ex1 x. true)", False),
+             ("ex2 A. ex2 B. all1 x. A = B & false", True)]
+    for text, at_zero in cases:
+        f = parse(text)
+        assert evaluate(FiniteModel(0), f) is at_zero, text
+        for n in range(1, 4):
+            m = FiniteModel(n)
+            assert evaluate(m, f) == slow_evaluate(m, f), (n, text)
+
+
+def test_join_splits_only_what_distributes():
+    # all1 distributes over a conjunction and ex1 over a disjunction, but
+    # not the other way round, and an implication only on its right side
+    cases = ["ex2 A. ex2 B. ex1 x. A(x) & ~A(x) & A = B",
+             "all2 A. all2 B. all1 x. A(x) | ~A(x) | A = B",
+             "ex2 A. ex2 B. (A(min) & ~A(min) -> false) & A = B"]
+    for text in cases:
+        f = parse(text)
+        for n in range(4):
+            m = FiniteModel(n)
+            assert evaluate(m, f) == slow_evaluate(m, f), (n, text)
+
+
+def test_join_keeps_only_surviving_rows():
+    # a dense table for the three parts of rho(3, h) at 10 atoms has 2^30
+    # cells; the join never holds more than 2^21
+    answers = [evaluate(FiniteModel(10), build_rho(3, h), max_cells=1 << 21)
+               for h in (1, 2, 3)]
+    assert answers == [True, False, False]
 
 
 def test_product_structure_agrees_with_glued_model():
