@@ -24,13 +24,13 @@ from .formula.builders import (base_axioms, build_comp, build_psi, build_rho,
 from .formula.nodes import (FALSE, MAX, MIN, TRUE, And, At, AtomVar, Bot, Eq,
                             ExistsAtom, ExistsSet, Exle, FalseF, ForallAtom,
                             ForallSet, Formula, Iff, Implies, MaxAtom, Mem,
-                            MinAtom, Not, Or, SetVar, Subset, Term, TrueF,
-                            free_set_vars, free_vars, is_sentence,
-                            quantifier_depths)
+                            MinAtom, Not, Or, ResourceLimitError, SetVar,
+                            Subset, Term, TrueF, free_set_vars, free_vars,
+                            is_sentence)
 from .formula.parser import ParseError, format_formula, parse
 from .formula.sugar import desugar, is_desugared, relativize
-from .model import (FiniteModel, ResourceLimitError, canonical_iso_check,
-                    evaluate, product, slow_evaluate)
+from .model import (FiniteModel, canonical_iso_check, evaluate, product,
+                    slow_evaluate)
 from .upsets import (NormalFormDescriptor, UPSet, brute_force_oracle,
                      format_upset, from_normal_form, minkowski_sum,
                      minkowski_validity_bound, parse_upset, same_set,
@@ -57,7 +57,7 @@ __all__ = [
     "lasso_spectrum", "minimize", "minkowski_sum",
     "minkowski_validity_bound", "parse", "parse_point", "parse_upset",
     "point_models", "point_mul", "product", "project",
-    "pseudofinite_valid", "quantifier_depths", "reconstruct", "relativize",
+    "pseudofinite_valid", "reconstruct", "relativize",
     "rep", "residue_extend", "same_set", "satisfiable_witness",
     "slow_evaluate", "spectrum", "succ_formula", "to_dot", "to_normal_form",
     "unary_dfa",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import filterfalse
 from operator import add, and_, eq, le, or_
 
-from .model import ResourceLimitError
+from .formula.nodes import ResourceLimitError
 from .upsets import UPSet
 
 DEFAULT_STATE_CAP = 10 ** 5

@@ -21,7 +21,8 @@ from . import automata as au
 from .automata import Dfa, effective_state_cap
 from .formula.nodes import (And, At, Binder, Eq, Exle, FalseF, Formula, Iff,
                             Implies, Not, Or, Relation, SetVar, TrueF,
-                            is_sentence, rebuild, subformulas, terms_of)
+                            _check_nesting, rebuild, subformulas, summary,
+                            terms_of)
 from .formula.builders import conj, disj
 from .formula.sugar import desugar, is_desugared
 from .upsets import UPSet
@@ -92,9 +93,13 @@ def compile(f: Formula, *, cap: int | None = None) -> Dfa:
 
 def spectrum(f: Formula, *, cap: int | None = None) -> UPSet:
     """The canonical ultimately periodic set of model sizes satisfying the
-    sentence f (surface sugar allowed)."""
-    if not is_sentence(f):
+    sentence f (surface sugar allowed).  A sentence nested past the
+    parser's limit is refused with ResourceLimitError before its cache key
+    is hashed, which recurses."""
+    s = summary(f)
+    if s.free:
         raise ValueError("spectrum requires a sentence")
+    _check_nesting("formula", s.depth)
     return _spectrum(f, effective_state_cap(cap))
 
 

@@ -36,7 +36,7 @@ from itertools import permutations
 import numpy as np
 
 from .automata import DEFAULT_STATE_CAP, _explore, _moore, _subsets
-from .model import FiniteModel, ResourceLimitError
+from .model import FiniteModel, ResourceLimitError, _tables
 
 SPOILER = "Spoiler"
 DUPLICATOR = "Duplicator"
@@ -52,7 +52,7 @@ def _codes(model: FiniteModel, t: tuple[int, ...]) -> np.ndarray:
     e = a, e ⊆ a, a ⊆ e, e ⊑ a, a ⊑ e.  The ⊥-variant atoms reduce to the
     unary facts (e ⊆ ⊥ iff e = ⊥; ⊥ ⊆ e always; ⊑ and At with ⊥ never)."""
     low, high, pop = model.bit_tables()
-    es = np.arange(1 << model.n, dtype=np.int64)
+    es = _tables(model.n)[0]
     # 3 + 5·len(t) bits: past 12 entries they need Python ints
     code = np.zeros(len(es), np.int64 if len(t) <= 12 else object)
     for fact in (es == 0, pop == 1, low < high):

@@ -28,13 +28,20 @@ accepts prints as text that reparses.
 Membership checks its sorts when it is built, for code and text alike: an
 atom-sorted element and a set-sorted container.  The engines read these
 bases and attributes rather than listing classes.
+
+``summary`` is the one walk over a whole formula, without recursion: its
+free variables, names, leftover sugar and nestings.  ``free_vars``,
+``all_identifiers``, ``is_sentence`` and ``sugar.is_desugared`` read it, and
+the entry points that recurse over a formula read its depth first, refusing
+one nested past the parser's limit (``_MAX_DEPTH``) with
+``ResourceLimitError``, the one exception for every exceeded budget.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 _IDENTIFIER = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _RESERVED = frozenset({"true", "false", "bot", "min", "max", "at", "sub",
@@ -240,15 +247,7 @@ def rebuild(f: Formula, children: tuple[Formula, ...]) -> Formula:
 
 
 def free_vars(f: Formula) -> frozenset[str]:
-    if isinstance(f, Binder):
-        return free_vars(f.body) - {f.var}
-    names: set[str] = set()
-    for t in terms_of(f):
-        if isinstance(t, Variable):
-            names.add(t.name)
-    for g in subformulas(f):
-        names |= free_vars(g)
-    return frozenset(names)
+    return summary(f).free
 
 
 def free_set_vars(f: Formula) -> frozenset[str]:
@@ -261,19 +260,7 @@ def is_sentence(f: Formula) -> bool:
 
 def all_identifiers(f: Formula) -> frozenset[str]:
     """Every variable name occurring anywhere, binders included."""
-    names: set[str] = set()
-
-    def walk(g: Formula) -> None:
-        if isinstance(g, Binder):
-            names.add(g.var)
-        for t in terms_of(g):
-            if isinstance(t, Variable):
-                names.add(t.name)
-        for h in subformulas(g):
-            walk(h)
-
-    walk(f)
-    return frozenset(names)
+    return summary(f).names
 
 
 def fresh_names(used):
@@ -288,52 +275,70 @@ def fresh_names(used):
             yield cand
 
 
-# Per node of a formula, keyed by id: its free variables and its nesting of
-# set binders, of all binders, and of connectives and binders.
-Summaries = dict[int, tuple[frozenset[str], int, int, int]]
+# Deep enough for the largest builder output the benchmark parses
+# (``build_psi("eq", 40)`` prints 123 levels deep), shallow enough that
+# desugaring, compiling and evaluating what parses stays within Python's
+# default recursion limit.
+_MAX_DEPTH = 150
 
 
-def summarize(f: Formula) -> Summaries:
-    """Summarize every node of f, children first, in one pass without
-    recursion, so that a formula of any depth can be inspected."""
-    order, stack = [], [f]
+class ResourceLimitError(RuntimeError):
+    """An evaluation or construction exceeded its configured budget."""
+
+
+def _check_nesting(what: str, nesting: int, limit: int = _MAX_DEPTH) -> None:
+    """Refuse a nesting past its limit, by default the parser's limit on
+    a formula's depth."""
+    if nesting > limit:
+        raise ResourceLimitError(
+            f"{what} nesting {nesting} exceeds limit {limit}")
+
+
+class Summary(NamedTuple):
+    """What one walk finds in a formula: its free variables, every variable
+    name (binders included), whether sugar occurs (membership, an atom
+    binder, min or max), and the deepest nesting of set binders, of all
+    binders, and of connectives and binders together."""
+    free: frozenset[str]
+    names: frozenset[str]
+    sugared: bool
+    set_nesting: int
+    binder_nesting: int
+    depth: int
+
+
+def summary(f: Formula) -> Summary:
+    """Summarize f in one walk without recursion, so that a formula of any
+    depth can be inspected.  Each node is visited with the names bound
+    above it and the nestings on its path, which the leaves settle."""
+    free, names, sugared = set(), set(), False
+    sets = binders = depth = 0
+    stack = [(f, frozenset(), 0, 0, 0)]
     while stack:
-        order.append(g := stack.pop())
+        g, bound, s, b, d = stack.pop()
         if isinstance(g, Binary):
-            stack += (g.left, g.right)
-        elif isinstance(g, (Not, Binder)):
-            stack.append(g.body)
-    out: Summaries = {}
-    for g in reversed(order):
-        # conditional expressions rather than max(): this runs on every
-        # evaluate call, and small sentences are most of them
-        if isinstance(g, Binary):
-            lf, ls, lb, ld = out[id(g.left)]
-            rf, rs, rb, rd = out[id(g.right)]
-            out[id(g)] = (lf | rf, ls if ls > rs else rs,
-                          lb if lb > rb else rb, (ld if ld > rd else rd) + 1)
-        elif isinstance(g, (Not, Binder)):
-            free, sets, binders, depth = out[id(g.body)]
-            if isinstance(g, Binder):
-                free, sets, binders = (free - {g.var}, sets + g.over_sets,
-                                       binders + 1)
-            out[id(g)] = (free, sets, binders, depth + 1)
+            stack += ((g.left, bound, s, b, d + 1),
+                      (g.right, bound, s, b, d + 1))
+        elif isinstance(g, Not):
+            stack.append((g.body, bound, s, b, d + 1))
+        elif isinstance(g, Binder):
+            names.add(g.var)
+            sugared = sugared or not g.over_sets
+            stack.append((g.body, bound | {g.var}, s + g.over_sets, b + 1,
+                          d + 1))
         else:
-            out[id(g)] = (frozenset([t.name for t in terms_of(g)
-                                     if isinstance(t, Variable)]), 0, 0, 0)
-    return out
-
-
-def quantifier_depths(f: Formula) -> tuple[int, int]:
-    """(max nesting of set binders, max nesting of atom binders)."""
-    s = a = 0
-    for g in subformulas(f):
-        gs, ga = quantifier_depths(g)
-        s, a = max(s, gs), max(a, ga)
-    if isinstance(f, Binder):
-        if f.over_sets:
-            s += 1
-        else:
-            a += 1
-    return s, a
-
+            # conditional expressions rather than max(): this runs on every
+            # evaluate call, and small sentences are most of them
+            sets, binders = (sets if sets > s else s,
+                             binders if binders > b else b)
+            depth = depth if depth > d else d
+            sugared = sugared or isinstance(g, Mem)
+            for t in terms_of(g):
+                if isinstance(t, Variable):
+                    names.add(t.name)
+                    if t.name not in bound:
+                        free.add(t.name)
+                elif isinstance(t, (MinAtom, MaxAtom)):
+                    sugared = True
+    return Summary(frozenset(free), frozenset(names), sugared, sets,
+                   binders, depth)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .nodes import (AtomVar, BOT, Eq, Exle, ExistsAtom, ExistsSet, FALSE,
                     ForallAtom, ForallSet, Formula, And, At, Iff, Implies,
                     MAX, MIN, Mem, Not, Or, SetVar, Subset, Term, TRUE,
-                    _IDENTIFIER, _RESERVED, _name_sort)
+                    _IDENTIFIER, _MAX_DEPTH, _RESERVED, _name_sort)
 
 # Binary connectives, loosest first: (token, node, right-associative).
 # Entry i binds at level i + 1; level 0 is a quantifier body or the whole
@@ -43,12 +43,6 @@ _TRUTHS = {"true": TRUE, "false": FALSE}
 # "<" is sugar for "<<": the printer writes each node's first token, and
 # "<" only between two atom variables
 _RELATIONS = {"=": Eq, "sub": Subset, "<<": Exle, "<": Exle}
-
-# Deep enough for the largest builder output the benchmark parses
-# (``build_psi("eq", 40)`` prints 123 levels deep), shallow enough that
-# desugaring, compiling and evaluating what parses stays within Python's
-# default recursion limit.
-_MAX_DEPTH = 150
 
 _TOKEN_RE = re.compile(rf"""
     (?P<ws>\s+)

@@ -15,21 +15,21 @@ binders inside its body.
 from __future__ import annotations
 
 from .nodes import (And, At, AtomVar, Binder, Exle, ExistsSet, ForallSet,
-                    Formula, Implies, MAX, MIN, MaxAtom, Mem, MinAtom, Not,
-                    SetVar, Subset, Term, all_identifiers, fresh_names,
-                    is_sentence, rebuild, subformulas, terms_of)
+                    Formula, Implies, MAX, MIN, Mem, Not, SetVar, Subset, Term,
+                    _check_nesting, fresh_names, rebuild, subformulas,
+                    summary, terms_of)
 
 
 def is_desugared(f: Formula) -> bool:
-    if isinstance(f, Mem) or isinstance(f, Binder) and not f.over_sets:
-        return False
-    if any(isinstance(t, (MinAtom, MaxAtom)) for t in terms_of(f)):
-        return False
-    return all(is_desugared(g) for g in subformulas(f))
+    return not summary(f).sugared
 
 
 def desugar(f: Formula) -> Formula:
-    return _desugar(f, fresh_names(all_identifiers(f)), {})
+    """f without sugar; a formula nested past the parser's limit is refused
+    with ResourceLimitError."""
+    s = summary(f)
+    _check_nesting("formula", s.depth)
+    return _desugar(f, fresh_names(s.names), {})
 
 
 def _desugar(f: Formula, fresh, names: dict[Term, SetVar]) -> Formula:
@@ -67,9 +67,10 @@ def _endpoint_guard(v: SetVar, fresh, smallest: bool) -> Formula:
 def relativize(f: Formula, var: str) -> Formula:
     """The desugared sentence f evaluated inside the downward-closed world
     of subsets of the set variable ``var``, which must not occur in f."""
-    if not is_sentence(f):
+    s = summary(f)
+    if s.free:
         raise ValueError("relativization needs a sentence")
-    if not is_desugared(f):
+    if s.sugared:
         raise ValueError("relativization needs desugared input")
     return _rel(f, SetVar(var))
 

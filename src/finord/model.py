@@ -13,9 +13,11 @@ join: its body is split into parts along its And chain (Or chain under
 all2) and, for several variables, through what distributes over that
 chain; a variable gets an axis of 2^n values when the first part that reads
 it runs, and when few cells survive a part they are compacted onto one axis
-of rows shared by the variables bound so far.  One pass without recursion
-over the formula, on entry, finds every node's free variables and nesting,
-which the join reads to order its parts.
+of rows shared by the variables bound so far.  ``nodes.summary``, one walk
+without recursion, gives the nestings the limits check on entry, the free
+variables and nestings of each part by which the join orders its parts,
+and the free variables of an atom quantifier's body when its fold
+estimate needs them.
 Costs are exponential and guarded by explicit limits: the nesting of
 formulas, of set quantifiers and of binders (at most 32, each opening at
 most one numpy axis), and the cells of every table, rows included.
@@ -35,9 +37,9 @@ import numpy as np
 
 from .formula.nodes import (And, At, Binder, Bot, Eq, Exle, FalseF, Formula,
                             Iff, Implies, MaxAtom, MinAtom, Not, Or,
-                            Summaries, Term, TrueF, Variable, _name_sort,
-                            rebuild, summarize, terms_of)
-from .formula.parser import _MAX_DEPTH
+                            ResourceLimitError, Term, TrueF, Variable,
+                            _check_nesting, _name_sort, rebuild, summary,
+                            terms_of)
 
 DEFAULT_MAX_N = 10
 DEFAULT_MAX_SET_DEPTH = 4
@@ -59,10 +61,6 @@ _Binding = tuple[str, int, np.ndarray]
 # Truth function on Python bools, and the same function on bool tables.
 _CONNECTIVES = {And: (and_, np.logical_and), Or: (or_, np.logical_or),
                 Implies: (le, np.less_equal), Iff: (eq, np.equal)}
-
-
-class ResourceLimitError(RuntimeError):
-    """An evaluation or construction exceeded its configured budget."""
 
 
 class FiniteModel:
@@ -116,34 +114,28 @@ class FiniteModel:
     def bit_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(lowest set bit index or n, highest set bit index or -1, popcount)
         for every mask below 2^n; read-only, shared by models of one size."""
-        return _bit_tables(self.n)
+        return _tables(self.n)[2:]
 
 
 @lru_cache(maxsize=16)
-def _bit_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    size = 1 << n
-    xs = np.arange(size, dtype=np.int64)
-    pop = np.zeros(size, dtype=np.int16)
-    high = np.full(size, -1, dtype=np.int16)
-    low = np.full(size, n, dtype=np.int16)
-    for b in range(n):
-        bit = (xs >> b) & 1
-        pop += bit.astype(np.int16)
-        high[bit == 1] = b
-        lb = (xs & ((1 << (b + 1)) - 1)) == (1 << b)
-        low[lb] = b
-    for table in (low, high, pop):
-        table.flags.writeable = False
-    return low, high, pop
-
-
-@lru_cache(maxsize=16)
-def _domains(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only bitmasks of every set and of every atom."""
+def _tables(n: int) -> tuple[np.ndarray, ...]:
+    """The read-only arrays shared by models of size n: the bitmask of
+    every set and of every atom, then the three bit tables."""
     sets = np.arange(1 << n, dtype=np.int64)
     atoms = np.int64(1) << np.arange(n, dtype=np.int64)
-    sets.flags.writeable = atoms.flags.writeable = False
-    return sets, atoms
+    pop = np.zeros(len(sets), dtype=np.int16)
+    high = np.full(len(sets), -1, dtype=np.int16)
+    low = np.full(len(sets), n, dtype=np.int16)
+    for b in range(n):
+        bit = (sets >> b) & 1
+        pop += bit.astype(np.int16)
+        high[bit == 1] = b
+        lb = (sets & ((1 << (b + 1)) - 1)) == (1 << b)
+        low[lb] = b
+    tables = sets, atoms, low, high, pop
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def evaluate(model: FiniteModel, f: Formula, env: dict[str, int] | None = None,
@@ -153,16 +145,12 @@ def evaluate(model: FiniteModel, f: Formula, env: dict[str, int] | None = None,
     """Standard truth of f in the model, free variables read from env."""
     if model.n > max_n:
         raise ResourceLimitError(f"model size {model.n} exceeds limit {max_n}")
-    info = summarize(f)
-    free, set_depth, binders, depth = info[id(f)]
-    for what, value, limit in (("formula", depth, _MAX_DEPTH),
-                               ("set quantifier", set_depth, max_set_depth),
-                               ("binder", binders, _MAX_AXES)):
-        if value > limit:
-            raise ResourceLimitError(
-                f"{what} nesting {value} exceeds limit {limit}")
+    s = summary(f)
+    _check_nesting("formula", s.depth)
+    _check_nesting("set quantifier", s.set_nesting, max_set_depth)
+    _check_nesting("binder", s.binder_nesting, _MAX_AXES)
     env = dict(env or {})
-    missing = free - set(env)
+    missing = s.free - set(env)
     if missing:
         raise ValueError(f"unbound variables: {sorted(missing)}")
     for name, val in env.items():
@@ -170,7 +158,7 @@ def evaluate(model: FiniteModel, f: Formula, env: dict[str, int] | None = None,
             raise ValueError(f"env value out of range for {name}")
         if _name_sort(name) is False and not model.is_atom(val):
             raise ValueError(f"atom variable {name} must be bound to an atom")
-    arr = _Evaluator(model, max_cells, info).eval(f, (), 0, env)
+    arr = _Evaluator(model, max_cells).eval(f, (), 0, env)
     return bool(arr.reshape(()))
 
 
@@ -180,12 +168,11 @@ class _Evaluator:
     sized either 1 or its full length; binary connectives broadcast and
     quantifiers reduce the axes they open, which come last."""
 
-    def __init__(self, model: FiniteModel, max_cells: int, info: Summaries):
+    def __init__(self, model: FiniteModel, max_cells: int):
         self.model = model
         self.max_cells = max_cells
-        self.info = info
         self.plans: dict[int, tuple] = {}
-        self.set_values, self.atom_values = _domains(model.n)
+        self.set_values, self.atom_values = _tables(model.n)[:2]
         self.low, self.high, self.pop = model.bit_tables()
 
     def eval(self, f: Formula, binds: tuple[_Binding, ...], naxes: int,
@@ -232,10 +219,11 @@ class _Evaluator:
             body = body.body
         keyed = []
         for g in self._split(body, f.exists, len(names) > 1):
-            free, sets, binders, _ = self.info[id(g)]
-            level = max([i for i, v in enumerate(names) if v in free],
+            s = summary(g)
+            level = max([i for i, v in enumerate(names) if v in s.free],
                         default=-1)
-            keyed.append((level, sets, binders, len(keyed), g))
+            keyed.append((level, s.set_nesting, s.binder_nesting, len(keyed),
+                          g))
         return names, [(k[0], k[-1]) for k in sorted(keyed)]
 
     def _split(self, f: Formula, exists: bool, deep: bool) -> list[Formula]:
@@ -261,9 +249,8 @@ class _Evaluator:
             if len(pieces) == 1:
                 parts.append(g)
                 continue
-            for h in pieces:
-                parts.append(rebuild(g, (g.left, h) if implies else (h,)))
-                self.info.update(summarize(parts[-1]))
+            parts += [rebuild(g, (g.left, h) if implies else (h,))
+                      for h in pieces]
         return parts
 
     def _join(self, f: Binder, binds: tuple[_Binding, ...], naxes: int,
@@ -322,16 +309,20 @@ class _Evaluator:
                env: dict) -> np.ndarray:
         """Reduce an atom quantifier's body over a new last axis: in one
         piece or, when the estimated live table exceeds _SLICE_CELLS, one
-        atom at a time until the answer is settled."""
+        atom at a time until the answer is settled.  The estimate counts
+        the open axes the body reads; the body is walked for its free
+        variables only when all open axes together exceed the threshold."""
         exists = f.exists
         values = self.atom_values
         if not len(values):
             return self._const(not exists, naxes)
-        free = self.info[id(f.body)][0]
-        sizes = {axis: len(v) for name, axis, v in binds if name in free}
         pieces = [values]
+        sizes = {axis: len(v) for _, axis, v in binds}
         if len(values) * prod(sizes.values()) > _SLICE_CELLS:
-            pieces = [values[i:i + 1] for i in range(len(values))]
+            free = summary(f.body).free
+            sizes = {axis: len(v) for name, axis, v in binds if name in free}
+            if len(values) * prod(sizes.values()) > _SLICE_CELLS:
+                pieces = [values[i:i + 1] for i in range(len(values))]
         op = np.logical_or if exists else np.logical_and
         acc: np.ndarray | None = None
         for piece in pieces:

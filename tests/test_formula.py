@@ -11,11 +11,11 @@ from finord import (FALSE, MAX, MIN, TRUE, And, At, AtomVar, Bot, Eq,
                     SetVar, Subset, build_comp, build_psi, build_rho,
                     build_sum, conj, desugar, disj, evaluate,
                     format_formula, free_set_vars, free_vars, is_desugared,
-                    is_sentence, parse, quantifier_depths, relativize,
-                    slow_evaluate, spectrum)
+                    is_sentence, parse, relativize, slow_evaluate, spectrum)
 from finord import cli
 from finord.formula import parser
-from finord.formula.nodes import subformulas, summarize
+from finord.formula.nodes import (Binder, MaxAtom, MinAtom, Variable,
+                                  subformulas, summary, terms_of)
 
 
 def test_parse_basic_shapes():
@@ -188,30 +188,43 @@ def test_desugar_rebinds_a_shadowed_atom_name():
             assert truth == [False, True, True, False]
 
 
-def test_quantifier_depths():
-    assert quantifier_depths(TRUE) == (0, 0)
-    assert quantifier_depths(parse("ex2 X. ex1 x. all2 Y. true")) == (2, 1)
-    assert quantifier_depths(build_psi("gt", 2))[0] == 0
+def _summary_by_recursion(f):
+    """What ``summary`` finds, by direct recursion: free variables, names,
+    sugar, and the nestings of set binders, of binders and of nodes."""
+    if isinstance(f, Binder):
+        free, names, sugared, sets, binders, depth = \
+            _summary_by_recursion(f.body)
+        return (free - {f.var}, names | {f.var}, sugared or not f.over_sets,
+                sets + f.over_sets, binders + 1, depth + 1)
+    kids = [_summary_by_recursion(g) for g in subformulas(f)]
+    if kids:
+        free, names, sugared, sets, binders, depth = zip(*kids)
+        return (frozenset().union(*free), frozenset().union(*names),
+                any(sugared), max(sets), max(binders), max(depth) + 1)
+    terms = terms_of(f)
+    names = frozenset(t.name for t in terms if isinstance(t, Variable))
+    sugared = isinstance(f, Mem) or any(isinstance(t, (MinAtom, MaxAtom))
+                                        for t in terms)
+    return names, names, sugared, 0, 0, 0
 
 
-def test_summarize_matches_the_recursive_walks():
-    # every node's free variables and set nesting agree with free_vars
-    # and quantifier_depths; binder nesting and depth count along a path
+def test_summary_matches_a_recursive_reference():
+    # on every subformula of the corpus, of random formulas and of their
+    # desugared forms
     rng = random.Random(5)
     formulas = [f for _, f in CORPUS]
     formulas += [_random_sentence(rng, 3, ("X",), ("y",)) for _ in range(200)]
+    formulas += [desugar(f) for f in formulas]
     for f in formulas:
-        info = summarize(f)
         stack = [f]
         while stack:
             g = stack.pop()
             stack += subformulas(g)
-            free, sets, _, _ = info[id(g)]
-            assert free == free_vars(g) and sets == quantifier_depths(g)[0]
+            assert tuple(summary(g)) == _summary_by_recursion(g), g
     f = parse("ex2 X. (ex1 x. all1 y. x << y) & ~(X = bot)")
-    assert summarize(f)[id(f)] == (frozenset(), 1, 3, 4)
+    assert summary(f) == (frozenset(), frozenset("Xxy"), True, 1, 3, 4)
     chain = conj([TRUE] * 3000)
-    assert summarize(chain)[id(chain)] == (frozenset(), 0, 0, 2999)
+    assert summary(chain) == (frozenset(), frozenset(), False, 0, 0, 2999)
 
 
 def test_free_vars():
@@ -284,4 +297,4 @@ def test_relativize_element_semantics():
 def test_sentencehood_and_structure_of_builders():
     assert is_sentence(build_rho(3, 2))
     assert is_sentence(build_sum(build_psi("eq", 1), build_psi("eq", 2)))
-    assert quantifier_depths(build_rho(2, 1))[0] >= 2
+    assert summary(build_rho(2, 1)).set_nesting >= 2

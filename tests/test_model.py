@@ -7,10 +7,14 @@ import pytest
 
 from corpus import CORPUS, _random_sentence
 import finord.model
-from finord import (TRUE, ExistsAtom, ExistsSet, FiniteModel, ForallAtom,
-                    ForallSet, Implies, Not, ResourceLimitError, build_psi,
-                    build_rho, canonical_iso_check, conj, disj, evaluate,
-                    free_set_vars, parse, product, slow_evaluate)
+from finord import (TRUE, ExistsAtom, ExistsSet, Fin, FiniteModel,
+                    ForallAtom, ForallSet, Implies, Not, ResourceLimitError,
+                    build_psi, build_rho, build_sum, canonical_iso_check,
+                    conj, desugar, disj, evaluate, free_set_vars, free_vars,
+                    is_desugared, is_sentence, parse, point_models, product,
+                    pseudofinite_valid, satisfiable_witness, slow_evaluate,
+                    spectrum)
+from finord.formula.nodes import all_identifiers, summary
 
 
 def _popcount(x):
@@ -153,11 +157,26 @@ def test_open_binder_limit():
 
 
 def test_deep_formulas_are_refused_without_recursion():
-    # built in code, past the parser's nesting limit of 150
-    for f, depth in [(conj([TRUE] * 3000), 2999), (_not_chain(3000), 3000)]:
-        with pytest.raises(ResourceLimitError,
-                           match=f"nesting {depth} exceeds limit 150"):
-            evaluate(FiniteModel(2), f)
+    # built in code, past the parser's nesting limit of 150: the entry
+    # points that recurse over a formula refuse it, and the walk answers
+    atom_binders = TRUE
+    for i in range(200):
+        atom_binders = ExistsAtom(f"x{i}", atom_binders)
+    for f, depth in [(conj([TRUE] * 3000), 2999), (_not_chain(3000), 3000),
+                     (atom_binders, 200)]:
+        for call in (lambda: evaluate(FiniteModel(2), f),
+                     lambda: spectrum(f), lambda: point_models(Fin(3), f),
+                     lambda: pseudofinite_valid(f),
+                     lambda: satisfiable_witness(f), lambda: desugar(f),
+                     lambda: build_sum(f, TRUE)):
+            with pytest.raises(ResourceLimitError,
+                               match=f"formula nesting {depth} exceeds "
+                                     "limit 150"):
+                call()
+        assert summary(f).depth == depth
+        assert is_sentence(f) and not free_vars(f) and not free_set_vars(f)
+        assert is_desugared(f) == (f is not atom_binders)
+        assert len(all_identifiers(f)) == (200 if f is atom_binders else 0)
     # the deepest formula the parser accepts still evaluates
     assert evaluate(FiniteModel(2), _not_chain(150)) is True
     assert evaluate(FiniteModel(2), parse("~" * 150 + "true")) is True
