@@ -8,7 +8,9 @@ concatenation (a projection of split words), and lasso extraction are
 provided; every operation returns a complete automaton and respects a
 configurable state cap.  One breadth-first discovery loop, ``_explore``,
 builds every automaton: the product, the subset construction, the
-canonical renumbering after minimization, and the lasso walk.
+canonical renumbering after minimization, and the lasso walk.  One step,
+``_fact_step``, reads the atomic facts of sets along a word for the
+compiler's atomic automata and the game's type machines.
 """
 
 from __future__ import annotations
@@ -130,6 +132,25 @@ def _explore(start, successors, cap: int, stage: tuple[str, str]):
     return order, rows
 
 
+def _fact_start(j: int) -> tuple:
+    """The atomic facts of j empty sets, where ``_fact_step`` starts."""
+    return (0,) * j, ((True,) * j,) * j, ((False,) * j,) * j
+
+
+def _fact_step(state: tuple, letter: int) -> tuple:
+    """The atomic facts of j sets after one more atom, which set i holds
+    when letter bit i is set: per set its size capped at 2, and the j×j
+    tables sub[x][y] (X ⊆ Y) and exle[x][y] (some atom of X precedes some
+    atom of Y), whose diagonal holds X ⊆ X and |X| ≥ 2."""
+    pops, sub, exle = state
+    bit = [letter >> i & 1 == 1 for i in range(len(pops))]
+    return (tuple(min(p + b, 2) for p, b in zip(pops, bit)),
+            tuple(tuple(s and (b or not a) for s, b in zip(row, bit))
+                  for row, a in zip(sub, bit)),
+            tuple(tuple(e or (b and p > 0) for e, b in zip(row, bit))
+                  for row, p in zip(exle, pops)))
+
+
 _OPS = {"and": and_, "or": or_, "implies": le, "iff": eq}
 
 
@@ -240,10 +261,10 @@ def _moore(transitions, initial: int, labels: list):
     return list(map(rep.__getitem__, order)), rows
 
 
-def equivalent(a: Dfa, b: Dfa, *, cap: int | None = None) -> bool:
+def equivalent(a: Dfa, b: Dfa) -> bool:
     """Language equality: the "iff" combination minimizes to one accepting
     state."""
-    both = combine(a, b, "iff", cap=cap)
+    both = combine(a, b, "iff")
     return both.n_states == 1 and 0 in both.accepting
 
 

@@ -19,10 +19,10 @@ from .compiler import spectrum
 from .completions import (UNDETERMINED, format_point, parse_point,
                           point_models, point_mul, satisfiable_witness)
 from .efgame import ef_winner
-from .formula.nodes import Formula, Not
+from .formula.nodes import Formula, Not, ResourceLimitError
 from .formula.parser import parse
 from .formula.sugar import desugar
-from .model import FiniteModel, ResourceLimitError, evaluate
+from .model import FiniteModel, evaluate
 from .upsets import format_upset, to_normal_form
 
 

@@ -1,8 +1,9 @@
 """Translate formulas to word automata, and read off sentence spectra.
 
 A word of length n over {0,1}^w stands for the n-atom order together with
-one subset of positions per track.  Compilation is structural: atomic
-formulas get small hand-built automata, every binary connective is one
+one subset of positions per track.  Compilation is structural: an atomic
+formula's automaton explores the fact step (``automata._fact_step``) and
+is minimized on the fact it states, every binary connective is one
 product (``automata.combine``), and a set quantifier projects its
 variable's track away (universal quantification via double complement),
 so a binder that reuses a name needs no renaming.
@@ -18,13 +19,13 @@ from __future__ import annotations
 from functools import cache, lru_cache
 
 from . import automata as au
-from .automata import Dfa, effective_state_cap
-from .formula.nodes import (And, At, Binder, Eq, Exle, FalseF, Formula, Iff,
-                            Implies, Not, Or, Relation, SetVar, TrueF,
-                            _check_nesting, rebuild, subformulas, summary,
-                            terms_of)
+from .automata import DEFAULT_STATE_CAP, Dfa, effective_state_cap
+from .formula.nodes import (_MAX_DESUGARED_DEPTH, And, At, Binder, Exle,
+                            FalseF, Formula, Iff, Implies, Not, Or, Relation,
+                            SetVar, Subset, TrueF, _check_nesting, rebuild,
+                            subformulas, summary, terms_of)
 from .formula.builders import conj, disj
-from .formula.sugar import desugar, is_desugared
+from .formula.sugar import desugar
 from .upsets import UPSet
 
 _CONNECTIVES = {And: "and", Or: "or", Implies: "implies", Iff: "iff"}
@@ -49,58 +50,42 @@ def base_automaton(atomic: Formula) -> Dfa:
 @cache
 def _shape_automaton(kind: type, positions: tuple) -> Dfa:
     """The automaton of an atomic relation whose i-th term reads track
-    number positions[i] (None for bot), over placeholder track names; the
-    few shapes are built once and relabelled by ``base_automaton``."""
-    tracks = tuple(f"T{j}" for j in range(len(set(positions) - {None})))
-
-    def bit(pos):
-        if pos is None:
-            return lambda letter: 0
-        return lambda letter: (letter >> pos) & 1
-
-    size = 1 << len(tracks)
-    if kind is At:
-        x = bit(positions[0])
-        # 0 = no member yet, 1 = exactly one (accept), 2 = too many
-        rows = (tuple(1 if x(l) else 0 for l in range(size)),
-                tuple(2 if x(l) else 1 for l in range(size)),
-                tuple(2 for _ in range(size)))
-        return au.minimize(Dfa(tracks, rows, frozenset([1])))
-    x, y = bit(positions[0]), bit(positions[1])
-    if kind is Exle:
-        # 0 = left side still empty, 1 = left member seen, 2 = accept;
-        # a shared position never accepts (the underlying order is strict)
-        rows = (tuple(1 if x(l) else 0 for l in range(size)),
-                tuple(2 if y(l) else 1 for l in range(size)),
-                tuple(2 for _ in range(size)))
-        return au.minimize(Dfa(tracks, rows, frozenset([2])))
-    if kind is Eq:
-        ok = [x(l) == y(l) for l in range(size)]
-    else:  # Subset
-        ok = [x(l) <= y(l) for l in range(size)]
-    rows = (tuple(0 if ok[l] else 1 for l in range(size)),
-            tuple(1 for _ in range(size)))
-    return au.minimize(Dfa(tracks, rows, frozenset([0])))
+    number positions[i] (None for bot, one more set that no letter holds):
+    the fact step, minimized on the fact the relation states.  The few
+    shapes are built once and relabelled by ``base_automaton``."""
+    width = len(set(positions) - {None})
+    args = [width if p is None else p for p in positions]
+    x, y = args[0], args[-1]
+    states, rows = au._explore(
+        au._fact_start(width + 1),
+        lambda q: [au._fact_step(q, a) for a in range(1 << width)],
+        DEFAULT_STATE_CAP, ("atomic automaton", kind.__name__))
+    holds = [pops[x] == 1 if kind is At else exle[x][y] if kind is Exle
+             else sub[x][y] and (kind is Subset or sub[y][x])
+             for pops, sub, exle in states]
+    reps, rows = au._moore(rows, 0, holds)
+    return Dfa(tuple(f"T{j}" for j in range(width)), rows,
+               frozenset(i for i, s in enumerate(reps) if holds[s]))
 
 
 def compile(f: Formula, *, cap: int | None = None) -> Dfa:
     """Automaton whose words over the free variables' tracks are exactly
-    the satisfying assignments; requires a desugared input."""
-    if not is_desugared(f):
+    the satisfying assignments; requires a desugared input, nested no
+    deeper than what ``desugar`` makes of parsed text."""
+    s = summary(f)
+    if s.sugared:
         raise ValueError("compile requires a desugared formula")
+    _check_nesting("formula", s.depth, _MAX_DESUGARED_DEPTH)
     return _compiled(f, effective_state_cap(cap))
 
 
-def spectrum(f: Formula, *, cap: int | None = None) -> UPSet:
+def spectrum(f: Formula) -> UPSet:
     """The canonical ultimately periodic set of model sizes satisfying the
-    sentence f (surface sugar allowed).  A sentence nested past the
-    parser's limit is refused with ResourceLimitError before its cache key
-    is hashed, which recurses."""
-    s = summary(f)
-    if s.free:
+    sentence f (surface sugar allowed), cached apart from ``compile``;
+    ``desugar`` refuses one nested past the parser's limit uncached."""
+    if summary(f).free:
         raise ValueError("spectrum requires a sentence")
-    _check_nesting("formula", s.depth)
-    return _spectrum(f, effective_state_cap(cap))
+    return _spectrum(f, effective_state_cap())
 
 
 # Above the distinct sentences any one workload or test run touches.
@@ -114,7 +99,7 @@ def _compiled(f: Formula, cap: int) -> Dfa:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _spectrum(f: Formula, cap: int) -> UPSet:
-    return au.lasso_spectrum(compile(desugar(f), cap=cap))
+    return au.lasso_spectrum(_compile(_miniscope(desugar(f)), cap))
 
 
 def clear_caches() -> None:

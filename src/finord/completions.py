@@ -192,10 +192,10 @@ def rep(v: int, d: int) -> int:
     return d if v == 0 else v
 
 
-def point_models(point: TypePoint, f: Formula, *, cap: int | None = None):
+def point_models(point: TypePoint, f: Formula):
     """Does the completed model satisfy the sentence — True, False, or
     UNDETERMINED (partial tables only)."""
-    s = spectrum(f, cap=cap)
+    s = spectrum(f)
     if isinstance(point, Fin):
         return s.member(point.n)
     if not isinstance(point, Inf):
@@ -238,15 +238,15 @@ def point_mul(p: TypePoint, q: TypePoint) -> TypePoint:
     return Inf(Table(entries))
 
 
-def pseudofinite_valid(f: Formula, *, cap: int | None = None) -> bool:
+def pseudofinite_valid(f: Formula) -> bool:
     """True when the sentence holds in every finite model (spectrum = ℕ)."""
-    return spectrum(f, cap=cap) == UPSet(0, 1, frozenset(), frozenset([0]))
+    return spectrum(f) == UPSet(0, 1, frozenset(), frozenset([0]))
 
 
-def satisfiable_witness(f: Formula, *, cap: int | None = None) -> int | None:
+def satisfiable_witness(f: Formula) -> int | None:
     """Least finite model size satisfying the sentence, None if there is
     none (equivalently: the negation holds in every finite model)."""
-    return spectrum(f, cap=cap).min_element()
+    return spectrum(f).min_element()
 
 
 def format_point(point: TypePoint) -> str:

@@ -9,8 +9,8 @@ holds of the left tuple exactly as of the right tuple.
 
 Games of at most two rounds are read off type machines: Moore machines over
 words with one letter per atom and one track per chosen set.  M(0, j)
-outputs its state, the atomic facts of its j sets: per set the popcount
-capped at 2, per ordered pair the ⊆ and ⊑ flags.  M(r+1, j) is the subset
+explores the compiler's fact step and outputs its state, the atomic facts
+of its j sets (``automata._fact_step``).  M(r+1, j) is the subset
 construction that erases M(r, j+1)'s last track, and a subset outputs the
 set of its members' outputs, the rank-(r+1) type.  Built on first use by the
 compiler's subset construction and Moore refinement, each machine is
@@ -31,12 +31,13 @@ every array the search makes has one entry per element, 2^n of them.
 from __future__ import annotations
 
 import functools
-from itertools import permutations
 
 import numpy as np
 
-from .automata import DEFAULT_STATE_CAP, _explore, _moore, _subsets
-from .model import FiniteModel, ResourceLimitError, _tables
+from .automata import (DEFAULT_STATE_CAP, _explore, _fact_start, _fact_step,
+                       _moore, _subsets)
+from .formula.nodes import ResourceLimitError
+from .model import FiniteModel, _tables
 
 SPOILER = "Spoiler"
 DUPLICATOR = "Duplicator"
@@ -51,8 +52,7 @@ def _codes(model: FiniteModel, t: tuple[int, ...]) -> np.ndarray:
     """For every element e: e = ⊥, At(e), e ⊑ e, then for each entry a of t,
     e = a, e ⊆ a, a ⊆ e, e ⊑ a, a ⊑ e.  The ⊥-variant atoms reduce to the
     unary facts (e ⊆ ⊥ iff e = ⊥; ⊥ ⊆ e always; ⊑ and At with ⊥ never)."""
-    low, high, pop = model.bit_tables()
-    es = _tables(model.n)[0]
+    es, _, low, high, pop = _tables(model.n)
     # 3 + 5·len(t) bits: past 12 entries they need Python ints
     code = np.zeros(len(es), np.int64 if len(t) <= 12 else object)
     for fact in (es == 0, pop == 1, low < high):
@@ -78,27 +78,13 @@ def atomic_agreement(left: FiniteModel, a_tuple, right: FiniteModel,
                for i, (a, b) in enumerate(zip(a_tuple, b_tuple)))
 
 
-def _atomic_step(state: tuple, letter: int) -> tuple:
-    """M(0, j) reading one atom; letter bit i says whether set i holds it."""
-    pops, subs, exles = state
-    bit = [letter >> i & 1 == 1 for i in range(len(pops))]
-    pairs = list(permutations(range(len(pops)), 2))
-    return (tuple(min(p + b, 2) for p, b in zip(pops, bit)),
-            tuple(s and (bit[y] or not bit[x])
-                  for s, (x, y) in zip(subs, pairs)),
-            tuple(e or (bit[y] and pops[x] > 0)
-                  for e, (x, y) in zip(exles, pairs)))
-
-
 @functools.cache
 def _machine(r: int, j: int) -> tuple[tuple, tuple[int, ...]]:
     """M(r, j): rows from state 0, and one output id per state."""
     stage = ("type machine", f"{r} rounds, {j} tracks")
     if r == 0:
-        start = ((0,) * j, (True,) * (j * j - j), (False,) * (j * j - j))
-        outs, rows = _explore(
-            start, lambda q: [_atomic_step(q, a) for a in range(1 << j)],
-            DEFAULT_STATE_CAP, stage)
+        outs, rows = _explore(_fact_start(j), lambda q: [
+            _fact_step(q, a) for a in range(1 << j)], DEFAULT_STATE_CAP, stage)
     else:
         below, below_outs = _machine(r - 1, j + 1)
         masks, rows = _subsets(below, 0, j, DEFAULT_STATE_CAP, stage)

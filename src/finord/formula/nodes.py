@@ -7,8 +7,8 @@ strictly precedes some atom of the right), at(.) (atomhood), and membership
 sugar X(x), under the usual connectives and the four quantifier kinds.
 
 Each shape is one frozen dataclass base, and its concrete classes declare
-only class attributes, so they share the base's constructor, ``==``,
-``hash`` and ``repr``:
+only class attributes, so they share the base's constructor and ``repr``
+(and, for terms, ``==`` and ``hash``):
 
 - ``Variable(name)``: ``SetVar`` and ``AtomVar``;
 - ``Relation(left, right)``: ``Eq``, ``Subset`` and ``Exle``;
@@ -29,11 +29,14 @@ Membership checks its sorts when it is built, for code and text alike: an
 atom-sorted element and a set-sorted container.  The engines read these
 bases and attributes rather than listing classes.
 
-``summary`` is the one walk over a whole formula, without recursion: its
-free variables, names, leftover sugar and nestings.  ``free_vars``,
-``all_identifiers``, ``is_sentence`` and ``sugar.is_desugared`` read it, and
-the entry points that recurse over a formula read its depth first, refusing
-one nested past the parser's limit (``_MAX_DEPTH``) with
+Every formula node stores its hash when built and compares with ``==``
+on an explicit stack, so neither recurses.  ``summary`` is the one walk
+over a whole formula, without recursion: its free variables, names,
+leftover sugar and nestings.  ``free_vars``, ``all_identifiers``,
+``is_sentence`` and ``sugar.is_desugared`` read it, and the entry points
+that recurse over a formula read its depth first, refusing one nested past
+the parser's limit (``_MAX_DEPTH``), or for those that take desugared input
+past what desugaring makes of parsed text (``_MAX_DESUGARED_DEPTH``), with
 ``ResourceLimitError``, the one exception for every exceeded budget.
 """
 
@@ -112,15 +115,49 @@ MAX = MaxAtom()
 
 
 class Formula:
+    """A node stores its hash when it is built, from its children's stored
+    hashes, and ``==`` walks pairs of nodes on one explicit stack, so
+    neither recurses however deep the formula."""
     __slots__ = ()
+    __match_args__: ClassVar[tuple[str, ...]]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((type(self), *self._fields())))
+
+    def _fields(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__match_args__))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Formula):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b) or a._hash != b._hash:
+                return False
+            for x, y in zip(a._fields(), b._fields()):
+                if isinstance(x, Formula):
+                    stack.append((x, y))
+                elif x != y:
+                    return False
+        return True
+
+    def __reduce__(self):
+        # rebuilt through the constructor: a stored hash is per process
+        return type(self), self._fields()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrueF(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FalseF(Formula):
     pass
 
@@ -129,7 +166,7 @@ TRUE = TrueF()
 FALSE = FalseF()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Relation(Formula):
     left: Term
     right: Term
@@ -147,12 +184,12 @@ class Exle(Relation):
     """Some atom of ``left`` lies strictly before some atom of ``right``."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class At(Formula):
     arg: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mem(Formula):
     """X(x): the atom denoted by ``atom`` belongs to the set ``container``."""
     atom: Term
@@ -163,14 +200,15 @@ class Mem(Formula):
             raise ValueError(f"membership needs an atom-sorted element, got {self.atom}")
         if not isinstance(self.container, Term) or not self.container.set_sorted:
             raise ValueError(f"membership needs a set-sorted container, got {self.container}")
+        super().__post_init__()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Not(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Binary(Formula):
     left: Formula
     right: Formula
@@ -192,7 +230,7 @@ class Iff(Binary):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Binder(Formula):
     var: str
     body: Formula
@@ -201,6 +239,7 @@ class Binder(Formula):
 
     def __post_init__(self) -> None:
         _check_name(self, self.var, self.over_sets)
+        super().__post_init__()
 
 
 class ExistsSet(Binder):
@@ -280,6 +319,12 @@ def fresh_names(used):
 # desugaring, compiling and evaluating what parses stays within Python's
 # default recursion limit.
 _MAX_DEPTH = 150
+# The deepest formula ``desugar`` makes of parsed text: each of 150 atom
+# binders takes two levels, and the min and max witnesses of the innermost
+# atomic formula eight more (``ex1 x0 ... x149. min << max``).  ``compile``,
+# ``relativize``, ``format_formula`` and ``slow_evaluate``, which take
+# desugared formulas and recurse, refuse anything deeper.
+_MAX_DESUGARED_DEPTH = 2 * _MAX_DEPTH + 8
 
 
 class ResourceLimitError(RuntimeError):

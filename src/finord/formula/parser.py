@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from .nodes import (AtomVar, BOT, Eq, Exle, ExistsAtom, ExistsSet, FALSE,
                     ForallAtom, ForallSet, Formula, And, At, Iff, Implies,
                     MAX, MIN, Mem, Not, Or, SetVar, Subset, Term, TRUE,
-                    _IDENTIFIER, _MAX_DEPTH, _RESERVED, _name_sort)
+                    _IDENTIFIER, _MAX_DEPTH, _MAX_DESUGARED_DEPTH, _RESERVED,
+                    _check_nesting, _name_sort, summary)
 
 # Binary connectives, loosest first: (token, node, right-associative).
 # Entry i binds at level i + 1; level 0 is a quantifier body or the whole
@@ -212,6 +213,7 @@ _RELATION_TEXT = {node: tok for tok, node in reversed(_RELATIONS.items())}
 
 
 def format_formula(f: Formula) -> str:
+    _check_nesting("formula", summary(f).depth, _MAX_DESUGARED_DEPTH)
     return _fmt(f, 0)
 
 

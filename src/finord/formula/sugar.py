@@ -14,10 +14,10 @@ binders inside its body.
 
 from __future__ import annotations
 
-from .nodes import (And, At, AtomVar, Binder, Exle, ExistsSet, ForallSet,
-                    Formula, Implies, MAX, MIN, Mem, Not, SetVar, Subset, Term,
-                    _check_nesting, fresh_names, rebuild, subformulas,
-                    summary, terms_of)
+from .nodes import (_MAX_DESUGARED_DEPTH, And, At, AtomVar, Binder, Exle,
+                    ExistsSet, ForallSet, Formula, Implies, MAX, MIN, Mem, Not,
+                    SetVar, Subset, Term, _check_nesting, fresh_names, rebuild,
+                    subformulas, summary, terms_of)
 
 
 def is_desugared(f: Formula) -> bool:
@@ -72,6 +72,7 @@ def relativize(f: Formula, var: str) -> Formula:
         raise ValueError("relativization needs a sentence")
     if s.sugared:
         raise ValueError("relativization needs desugared input")
+    _check_nesting("formula", s.depth, _MAX_DESUGARED_DEPTH)
     return _rel(f, SetVar(var))
 
 

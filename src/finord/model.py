@@ -38,8 +38,8 @@ import numpy as np
 from .formula.nodes import (And, At, Binder, Bot, Eq, Exle, FalseF, Formula,
                             Iff, Implies, MaxAtom, MinAtom, Not, Or,
                             ResourceLimitError, Term, TrueF, Variable,
-                            _check_nesting, _name_sort, rebuild, summary,
-                            terms_of)
+                            _MAX_DESUGARED_DEPTH, _check_nesting, _name_sort,
+                            rebuild, summary, terms_of)
 
 DEFAULT_MAX_N = 10
 DEFAULT_MAX_SET_DEPTH = 4
@@ -420,6 +420,7 @@ def slow_evaluate(struct, f: Formula, env: dict | None = None) -> bool:
     """Reference recursion: quantifiers loop over the structure's universe
     or atoms with short-circuiting.  Usable with FiniteModel and
     ProductStructure alike."""
+    _check_nesting("formula", summary(f).depth, _MAX_DESUGARED_DEPTH)
     env = dict(env or {})
     return _slow(struct, f, env)
 

@@ -1,5 +1,6 @@
 """Formula-to-DFA compilation and spectrum extraction."""
 
+import itertools
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from finord import (And, At, Bot, Dfa, Eq, ExistsSet, Exle, FalseF,
                     effective_state_cap, equivalent, evaluate, parse,
                     project, same_set, spectrum)
 from finord.compiler import _compile, _miniscope
+from finord.formula import terms_of
 from finord.model import FiniteModel
 
 from corpus import CORPUS, CORPUS_BY_NAME
@@ -60,6 +62,27 @@ def test_base_automaton_subset():
     assert equivalent(refl, Dfa((), ((0,),), frozenset([0])))
     with pytest.raises(ValueError):
         base_automaton(TrueF())
+
+
+def test_base_automata_match_the_structure():
+    # every shape the shared fact step gives, over a track and over bot, on
+    # every word of up to four letters
+    x, y, bot = SetVar("X"), SetVar("Y"), Bot()
+    atoms = [At(x), At(bot)]
+    atoms += [kind(*terms) for kind in (Eq, Subset, Exle)
+              for terms in ((x, y), (y, x), (x, x), (x, bot), (bot, x),
+                            (bot, bot))]
+    holds = {At: FiniteModel.is_atom, Eq: lambda m, u, v: u == v,
+             Subset: FiniteModel.subset, Exle: FiniteModel.exle}
+    for f in atoms:
+        a = base_automaton(f)
+        for n in range(5):
+            m = FiniteModel(n)
+            for word in itertools.product(range(1 << a.width), repeat=n):
+                _, env = _word_env(word, a.tracks)
+                args = [env[t.name] if isinstance(t, SetVar) else m.bot
+                        for t in terms_of(f)]
+                assert a.accepts(word) == holds[type(f)](m, *args), (f, word)
 
 
 def test_compile_sentences():

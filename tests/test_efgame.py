@@ -6,7 +6,8 @@ import pytest
 
 from finord import (DUPLICATOR, SPOILER, FiniteModel, ResourceLimitError,
                     atomic_agreement, cli, ef_equiv, ef_winner)
-from finord.efgame import DEFAULT_MEMO_BUDGET, _atomic_step, _machine, _Solver
+from finord.automata import _fact_start, _fact_step
+from finord.efgame import DEFAULT_MEMO_BUDGET, _machine, _Solver
 
 
 def test_winner_examples():
@@ -158,10 +159,9 @@ def _letters(model, t):
 
 def _atomic_output(model, t):
     """M(0, len(t))'s output, its state, by folding its transition."""
-    pairs = len(t) * (len(t) - 1)
-    state = ((0,) * len(t), (True,) * pairs, (False,) * pairs)
+    state = _fact_start(len(t))
     for letter in _letters(model, t):
-        state = _atomic_step(state, letter)
+        state = _fact_step(state, letter)
     return state
 
 

@@ -1,6 +1,10 @@
 """Formula layer: grammar roundtrips, sorts, sugar elimination, builders."""
 
+import os
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -123,6 +127,19 @@ def test_nesting_at_the_limit_parses_and_compiles():
         parse("".join(f"ex1 {x}. " for x in names) + "true")
     with pytest.raises(ParseError, match="nested deeper"):
         parse(f"ex1 {' '.join(names)}. true")
+
+
+def test_formulas_pickle_across_processes():
+    # a node's stored hash is per process, so unpickling rebuilds it
+    text = "all2 X. ex1 x. X(x) -> X = bot | at(X) & min << X"
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import pickle, sys; from finord import parse; "
+         f"sys.stdout.buffer.write(pickle.dumps(parse({text!r})))"],
+        capture_output=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    f = pickle.loads(out.stdout)
+    assert f == parse(text) and hash(f) == hash(parse(text))
 
 
 def test_roundtrip_on_corpus():

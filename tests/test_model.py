@@ -10,10 +10,11 @@ import finord.model
 from finord import (TRUE, ExistsAtom, ExistsSet, Fin, FiniteModel,
                     ForallAtom, ForallSet, Implies, Not, ResourceLimitError,
                     build_psi, build_rho, build_sum, canonical_iso_check,
-                    conj, desugar, disj, evaluate, free_set_vars, free_vars,
-                    is_desugared, is_sentence, parse, point_models, product,
-                    pseudofinite_valid, satisfiable_witness, slow_evaluate,
-                    spectrum)
+                    clear_caches, compile, conj, desugar, disj, evaluate,
+                    format_formula, free_set_vars, free_vars, is_desugared,
+                    is_sentence, parse, point_models, product,
+                    pseudofinite_valid, relativize, satisfiable_witness,
+                    slow_evaluate, spectrum)
 from finord.formula.nodes import all_identifiers, summary
 
 
@@ -180,6 +181,56 @@ def test_deep_formulas_are_refused_without_recursion():
     # the deepest formula the parser accepts still evaluates
     assert evaluate(FiniteModel(2), _not_chain(150)) is True
     assert evaluate(FiniteModel(2), parse("~" * 150 + "true")) is True
+
+
+def test_every_formula_entry_point_ends_on_deep_input():
+    # each public entry point that takes a formula answers, or refuses with
+    # ValueError or ResourceLimitError, on formulas built in code far past
+    # the parser's limit; == and hash compare against a fresh equal copy
+    def atom_binders():
+        f = TRUE
+        for i in range(200):
+            f = ExistsAtom(f"x{i}", f)
+        return f
+
+    for make in (lambda: conj([TRUE] * 3000), lambda: _not_chain(3000),
+                 atom_binders):
+        f, g = make(), make()
+        assert f is not g and f == g and hash(f) == hash(g)
+        assert f != Not(g) and g != TRUE
+        for call in (lambda: evaluate(FiniteModel(2), f),
+                     lambda: spectrum(f), lambda: point_models(Fin(3), f),
+                     lambda: pseudofinite_valid(f),
+                     lambda: satisfiable_witness(f), lambda: desugar(f),
+                     lambda: build_sum(f, TRUE), lambda: compile(f),
+                     lambda: relativize(f, "R"), lambda: format_formula(f),
+                     lambda: slow_evaluate(FiniteModel(1), f),
+                     lambda: free_vars(f), lambda: free_set_vars(f),
+                     lambda: is_sentence(f), lambda: is_desugared(f),
+                     lambda: all_identifiers(f)):
+            try:
+                call()
+            except (ValueError, ResourceLimitError):
+                pass
+    # the deepest formula desugaring makes of parsed text compiles, and a
+    # fresh equal copy hits the warm cache from 200 frames down
+    text = "ex1 " + " ".join(f"x{i}" for i in range(150)) + ". min << max"
+    first, second = desugar(parse(text)), desugar(parse(text))
+    assert summary(first).depth == 308 and first is not second
+
+    def nested(k, f):
+        return compile(f) if k == 0 else nested(k - 1, f)
+
+    clear_caches()
+    a = nested(200, first)
+    assert nested(200, second) is a and a.width == 0
+    for call in (lambda: compile(Not(first)),
+                 lambda: relativize(Not(first), "R"),
+                 lambda: format_formula(Not(first)),
+                 lambda: slow_evaluate(FiniteModel(1), Not(first))):
+        with pytest.raises(ResourceLimitError,
+                           match="formula nesting 309 exceeds limit 308"):
+            call()
 
 
 def _not_chain(k):
