@@ -8,9 +8,9 @@ concatenation (a projection of split words), and lasso extraction are
 provided; every operation returns a complete automaton and respects a
 configurable state cap.  One breadth-first discovery loop, ``_explore``,
 builds every automaton: the product, the subset construction, the
-canonical renumbering after minimization, and the lasso walk.  One step,
-``_fact_step``, reads the atomic facts of sets along a word for the
-compiler's atomic automata and the game's type machines.
+canonical renumbering after minimization and renaming, and the lasso
+walk.  One step, ``_fact_step``, reads the atomic facts of sets along a
+word for the compiler's atomic automata and the game's type machines.
 """
 
 from __future__ import annotations
@@ -99,17 +99,32 @@ def cylindrify(a: Dfa, tracks) -> Dfa:
         raise ValueError("new track list must contain the old tracks")
     if tracks == a.tracks:
         return a
-    positions = [tracks.index(t) for t in a.tracks]
-    width = len(tracks)
-    lookup = [0] * (1 << width)
-    for letter in range(1 << width):
-        old = 0
-        for j, pos in enumerate(positions):
-            old |= ((letter >> pos) & 1) << j
-        lookup[letter] = old
-    rows = tuple(tuple(map(row.__getitem__, lookup))
-                 for row in a.transitions)
+    rows = _read_letters(a.transitions, [tracks.index(t) for t in a.tracks],
+                         len(tracks))
     return Dfa(tracks, rows, a.accepting, a.initial)
+
+
+def _rename(a: Dfa, names) -> Dfa:
+    """Track ``a.tracks[j]`` renamed ``names[j]``, letters and states
+    renumbered as ``minimize`` would number them."""
+    tracks = tuple(sorted(names))
+    positions = list(map(tracks.index, names))
+    if positions == sorted(positions):
+        return Dfa(tracks, a.transitions, a.accepting, a.initial)
+    rows = _read_letters(a.transitions, positions, len(tracks))
+    order, rows = _explore(a.initial, rows.__getitem__, a.n_states,
+                           ("renaming", f"operand of {a.n_states} states"))
+    return Dfa(tracks, rows, frozenset(
+        i for i, s in enumerate(order) if s in a.accepting), 0)
+
+
+def _read_letters(transitions, positions, width: int) -> tuple:
+    """Rows over ``width`` bits; old letter bit j is new bit positions[j]."""
+    bit = {p: 1 << j for j, p in enumerate(positions)}
+    lookup = [0]  # the old letter of each new one, doubled per new bit
+    for p in range(width):
+        lookup += [old | bit[p] for old in lookup] if p in bit else lookup
+    return tuple(tuple(map(row.__getitem__, lookup)) for row in transitions)
 
 
 def _explore(start, successors, cap: int, stage: tuple[str, str]):

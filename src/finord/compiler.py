@@ -7,6 +7,10 @@ is minimized on the fact it states, every binary connective is one
 product (``automata.combine``), and a set quantifier projects its
 variable's track away (universal quantification via double complement),
 so a binder that reuses a name needs no renaming.
+Each compile builds a connective or binder once per shape, its form up to
+renaming (``_shapes``: bound variables go by binder, free ones by first
+occurrence); a later node of that shape renames the tracks of the automaton
+kept for the first (``automata._rename``), and the memo ends with the call.
 Before compiling, quantifiers are miniscoped: a universal is pushed through
 the conjuncts of its body and an existential through the disjuncts, so each
 projection works on an automaton with fewer tracks.  For a sentence the
@@ -20,10 +24,11 @@ from functools import cache, lru_cache
 
 from . import automata as au
 from .automata import DEFAULT_STATE_CAP, Dfa, effective_state_cap
-from .formula.nodes import (_MAX_DESUGARED_DEPTH, And, At, Binder, Exle,
-                            FalseF, Formula, Iff, Implies, Not, Or, Relation,
-                            SetVar, Subset, TrueF, _check_nesting, rebuild,
-                            subformulas, summary, terms_of)
+from .formula.nodes import (_MAX_DESUGARED_DEPTH, And, At, Binary, Binder,
+                            Exle, FalseF, Formula, Iff, Implies, Not, Or,
+                            Relation, SetVar, Subset, TrueF, Variable,
+                            _check_nesting, rebuild, subformulas, summary,
+                            terms_of)
 from .formula.builders import conj, disj
 from .formula.sugar import desugar
 from .upsets import UPSet
@@ -109,27 +114,72 @@ def clear_caches() -> None:
 
 
 def _compile(f: Formula, cap: int) -> Dfa:
-    if isinstance(f, TrueF):
-        return Dfa((), ((0,),), frozenset([0]))
-    if isinstance(f, FalseF):
-        return Dfa((), ((0,),), frozenset())
-    if isinstance(f, (Relation, At)):
-        return base_automaton(f)
-    if isinstance(f, Not):
-        return au.complement(_compile(f.body, cap))
-    op = _CONNECTIVES.get(type(f))
-    if op is not None:
-        return au.combine(_compile(f.left, cap), _compile(f.right, cap), op,
-                          cap=cap)
-    if isinstance(f, Binder) and f.over_sets:
-        # a universal is the complement of an existential over the complement
-        body = _compile(f.body, cap)
-        if not f.exists:
-            body = au.complement(body)
-        if f.var in body.tracks:
-            body = au.project(body, f.var, cap=cap)
-        return body if f.exists else au.complement(body)
-    raise ValueError(f"cannot compile node {type(f).__name__}")
+    (shapes, repeated), memo = _shapes(f), {}
+
+    def walk(g: Formula) -> Dfa:
+        shape, names = shapes[id(g)]
+        if shape in memo:
+            a, where = memo[shape]
+            return au._rename(a, [names[i] for i in where])
+        if isinstance(g, (TrueF, FalseF)):
+            return Dfa((), ((0,),), frozenset([0] if type(g) is TrueF else []))
+        if isinstance(g, (Relation, At)):
+            return base_automaton(g)
+        if isinstance(g, Not):
+            a = au.complement(walk(g.body))
+        elif type(g) in _CONNECTIVES:
+            a = au.combine(walk(g.left), walk(g.right),
+                           _CONNECTIVES[type(g)], cap=cap)
+        elif isinstance(g, Binder) and g.over_sets:
+            # ∀ is the complement of ∃ over the complement
+            a = walk(g.body)
+            if g.var in a.tracks:
+                a = au.project(a if g.exists else au.complement(a), g.var,
+                               cap=cap)
+                a = a if g.exists else au.complement(a)
+        else:
+            raise ValueError(f"cannot compile node {type(g).__name__}")
+        if shape in repeated:
+            # with each track's place in first-occurrence order
+            memo[shape] = a, [names.index(t) for t in a.tracks]
+        return a
+
+    return walk(f)
+
+
+def _shapes(f: Formula):
+    """Each node's shape (an int) and free variables in first-occurrence
+    order, by ``id``, and the shapes that occur again.  A shape is interned
+    from the node's type, its children's shapes and where their free
+    variables fall among the node's, leaves first and without recursion."""
+    order = [f]
+    for g in order:
+        order += subformulas(g)
+    out, interned, repeated = {}, {}, set()
+    for g in reversed(order):
+        if isinstance(g, Binary):
+            (left, first), (right, then) = out[id(g.left)], out[id(g.right)]
+            names = first + tuple(v for v in then if v not in first)
+            key = (type(g), left, right, *map(names.index, then))
+        elif isinstance(g, Binder):
+            shape, free = out[id(g.body)]
+            names = tuple(v for v in free if v != g.var)
+            key = (type(g), shape, free.index(g.var) if g.var in free else -1)
+        elif isinstance(g, Not):
+            shape, names = out[id(g.body)]
+            key = (Not, shape)
+        else:
+            terms = terms_of(g)
+            names = tuple(dict.fromkeys(
+                t.name for t in terms if isinstance(t, Variable)))
+            key = (type(g), *(names.index(t.name) if isinstance(t, Variable)
+                              else t for t in terms))
+        n = len(interned)
+        shape = interned.setdefault(key, n)
+        if shape < n:
+            repeated.add(shape)
+        out[id(g)] = shape, names
+    return out, repeated
 
 
 def _miniscope(f: Formula) -> Formula:

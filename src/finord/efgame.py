@@ -165,6 +165,9 @@ def ef_winner(left: FiniteModel, right: FiniteModel, k: int, *,
     if left.n > _MAX_ATOMS or right.n > _MAX_ATOMS:
         raise ResourceLimitError(f"game structures of {left.n} and {right.n} "
                                  f"atoms exceed the limit of {_MAX_ATOMS}")
+    if left.n != right.n and k > min(left.n, right.n):
+        # Spoiler picks one atom more than the smaller order has
+        return SPOILER
     if k <= 2:
         # M(k, 0) numbers its lasso in order; later sizes wrap onto the cycle
         rows, types = _machine(k, 0)

@@ -29,15 +29,16 @@ Membership checks its sorts when it is built, for code and text alike: an
 atom-sorted element and a set-sorted container.  The engines read these
 bases and attributes rather than listing classes.
 
-Every formula node stores its hash when built and compares with ``==``
-on an explicit stack, so neither recurses.  ``summary`` is the one walk
-over a whole formula, without recursion: its free variables, names,
-leftover sugar and nestings.  ``free_vars``, ``all_identifiers``,
-``is_sentence`` and ``sugar.is_desugared`` read it, and the entry points
-that recurse over a formula read its depth first, refusing one nested past
-the parser's limit (``_MAX_DEPTH``), or for those that take desugared input
-past what desugaring makes of parsed text (``_MAX_DESUGARED_DEPTH``), with
-``ResourceLimitError``, the one exception for every exceeded budget.
+Every formula node stores its hash when built, and compares with ``==``
+and writes its ``repr`` on an explicit stack, so none of these recurses.
+``summary`` is the one walk over a whole formula, without recursion: its
+free variables, names, leftover sugar and nestings.  ``free_vars``,
+``all_identifiers``, ``is_sentence`` and ``sugar.is_desugared`` read it,
+and the entry points that recurse over a formula read its depth first,
+refusing one nested past the parser's limit (``_MAX_DEPTH``), or for those
+that take desugared input past what desugaring makes of parsed text
+(``_MAX_DESUGARED_DEPTH``), with ``ResourceLimitError``, the one
+exception for every exceeded budget.
 """
 
 from __future__ import annotations
@@ -116,8 +117,8 @@ MAX = MaxAtom()
 
 class Formula:
     """A node stores its hash when it is built, from its children's stored
-    hashes, and ``==`` walks pairs of nodes on one explicit stack, so
-    neither recurses however deep the formula."""
+    hashes, and ``==`` and ``repr`` walk nodes on one explicit stack, so
+    none of them recurses however deep the formula."""
     __slots__ = ()
     __match_args__: ClassVar[tuple[str, ...]]
 
@@ -147,17 +148,34 @@ class Formula:
                     return False
         return True
 
+    def __repr__(self) -> str:
+        # the dataclass text, from one stack of nodes still to write and
+        # text already made
+        out, stack = [], [self]
+        while stack:
+            g = stack.pop()
+            if isinstance(g, str):
+                out.append(g)
+                continue
+            parts = [f"{type(g).__qualname__}("]
+            for i, name in enumerate(g.__match_args__):
+                value = getattr(g, name)
+                parts += [f"{', ' * (i > 0)}{name}=",
+                          value if isinstance(value, Formula) else repr(value)]
+            stack += reversed(parts + [")"])
+        return "".join(out)
+
     def __reduce__(self):
         # rebuilt through the constructor: a stored hash is per process
         return type(self), self._fields()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class TrueF(Formula):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class FalseF(Formula):
     pass
 
@@ -166,7 +184,7 @@ TRUE = TrueF()
 FALSE = FalseF()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Relation(Formula):
     left: Term
     right: Term
@@ -184,12 +202,12 @@ class Exle(Relation):
     """Some atom of ``left`` lies strictly before some atom of ``right``."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class At(Formula):
     arg: Term
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Mem(Formula):
     """X(x): the atom denoted by ``atom`` belongs to the set ``container``."""
     atom: Term
@@ -203,12 +221,12 @@ class Mem(Formula):
         super().__post_init__()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Not(Formula):
     body: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Binary(Formula):
     left: Formula
     right: Formula
@@ -230,7 +248,7 @@ class Iff(Binary):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Binder(Formula):
     var: str
     body: Formula

@@ -181,6 +181,8 @@ def test_readme_examples(capsys):
 # -- fuzzing main: every argv ends in an answer, one error line, or usage --
 
 NATS = st.integers(0, 3).map(str)
+# rounds past any recursion limit, which only shortcuts may answer
+ROUNDS = st.one_of(NATS, st.integers(0, 5000).map(str))
 POINTS = st.one_of(
     st.integers(0, 5).map(lambda n: f"fin:{n}"),
     st.integers(0, 5).map(lambda c: f"inf:zero+{c}"),
@@ -213,8 +215,9 @@ def argvs(draw):
     elif command == "mul":
         argv += ["--points", ",".join(draw(st.lists(POINTS, max_size=3)))]
     elif command == "efgame":
-        for option in ("--left", "--right", "--rounds"):
-            argv += [option, draw(NATS)]
+        for option, values in (("--left", NATS), ("--right", NATS),
+                               ("--rounds", ROUNDS)):
+            argv += [option, draw(values)]
     elif command == "compile" and draw(st.booleans()):
         argv.append("--dot")
     if command not in ("mul", "efgame"):

@@ -2,20 +2,25 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
-from finord import (And, At, Bot, Dfa, Eq, ExistsSet, Exle, FalseF,
-                    ForallSet, Iff, Implies, Mem, Not, Or, ResourceLimitError,
-                    SetVar, Subset, TrueF, UPSet, base_automaton, build_psi,
-                    build_rho, clear_caches, compile, cylindrify, desugar,
-                    effective_state_cap, equivalent, evaluate, parse,
-                    project, same_set, spectrum)
+from finord import (DUPLICATOR, And, At, Bot, Dfa, Eq, ExistsSet, Exle,
+                    FalseF, ForallSet, Iff, Implies, Mem, Not, Or,
+                    ResourceLimitError, SetVar, Subset, TrueF, UPSet,
+                    base_automaton, build_psi, build_rho, clear_caches,
+                    compile, cylindrify, desugar, ef_winner,
+                    effective_state_cap, equivalent, evaluate,
+                    format_formula, minimize, parse, project, same_set,
+                    spectrum)
+from finord import automata
 from finord.compiler import _compile, _miniscope
 from finord.formula import terms_of
+from finord.formula.nodes import summary
 from finord.model import FiniteModel
 
-from corpus import CORPUS, CORPUS_BY_NAME
+from corpus import CORPUS, CORPUS_BY_NAME, random_sentences
 
 
 def _word_env(word, tracks):
@@ -272,3 +277,55 @@ def test_miniscope_spectrum_at_zero():
         assert spectrum(f) == want
         for n in range(4):
             assert want.member(n) == evaluate(FiniteModel(n), f, {})
+
+
+def _renamed(f, names):
+    """f with X, Y and Z renamed by the map names, binders included."""
+    return parse(re.sub(r"\b[XYZ]\b", lambda m: names[m.group()],
+                        format_formula(f)))
+
+
+def test_renamed_copies_compile_once(monkeypatch):
+    renames = []
+    rename = automata._rename
+    monkeypatch.setattr(automata, "_rename", lambda a, names: (
+        renames.append(list(names)) or rename(a, names)))
+    clear_caches()
+    # the second copy is the first with X and Y swapped, so its automaton is
+    # the first's with its letter bits permuted and its states renumbered
+    swapped = parse("(ex2 Z. X sub Z & Z sub Y) & (ex2 W. Y sub W & W sub X)")
+    compile(swapped)
+    assert renames == [["Y", "X"]]
+    # one binder over at(X) is vacuous and one binds X: two shapes
+    copies = [swapped, parse("(ex2 Y. at(X)) | (ex2 X. at(X))")]
+    rng = random.Random(16)
+    for _ in range(40):
+        g = _random_desugared(rng, ("X", "Y", "Z"), rng.randrange(1, 4))
+        names = dict(zip("XYZ", rng.sample("XYZ", 3)))
+        copies.append(rng.choice((And, Or, Iff))(g, _renamed(g, names)))
+    for f in copies:
+        a = compile(f)
+        assert a == minimize(a), f
+        for n in range(4 if a.width < 3 else 3):
+            for word in _all_words(a.width, n):
+                size, env = _word_env(word, a.tracks)
+                assert a.accepts(word) == evaluate(FiniteModel(size), f, env)
+    assert len(renames) > 20
+
+
+def test_spectra_are_unions_of_game_classes():
+    # Ehrenfeucht-Fraisse: a sentence whose desugared set binders nest k
+    # deep holds in both or neither of two orders on which Duplicator wins
+    # the k-round game, an engine that shares no code with the compiler
+    alike = {k: [(m, n) for m in range(12) for n in range(m)
+                 if ef_winner(FiniteModel(m), FiniteModel(n), k) == DUPLICATOR]
+             for k in (0, 1, 2)}
+    checked = 0
+    for name, f in random_sentences(count=700, seed=16):
+        k = summary(desugar(f)).set_nesting
+        if k <= 2:
+            s = spectrum(f)
+            for m, n in alike[k]:
+                assert s.member(m) == s.member(n), (name, k, m, n)
+            checked += 1
+    assert checked > 300

@@ -50,6 +50,23 @@ def test_type_machines_match_search():
                 assert ef_equiv(m, n, k) is won, (m, n, k)
 
 
+def test_spoiler_wins_past_the_smaller_order():
+    # Spoiler picks min(m, n) + 1 atoms of the larger order, one more than
+    # the smaller has; the search agrees with the shortcut taken first
+    for m in range(5):
+        for n in range(5):
+            if m != n:
+                k = min(m, n) + 1
+                left, right = FiniteModel(m), FiniteModel(n)
+                assert not _Solver(left, right, k, DEFAULT_MEMO_BUDGET
+                                   ).duplicator_wins((), (), k), (m, n)
+                assert ef_winner(left, right, k) == SPOILER
+    # rounds past the recursion limit answer at once
+    assert ef_winner(FiniteModel(1), FiniteModel(2), 2000) == SPOILER
+    assert ef_equiv(1, 2, 400) is False
+    assert ef_equiv(3, 3, 2000) is True
+
+
 def test_two_round_games_ignore_the_memo_budget():
     assert ef_equiv(12, 13, 2, memo_budget=0) is True
     assert ef_equiv(19, 20, 2, memo_budget=0) is True
@@ -244,11 +261,14 @@ def test_atom_limit(capsys):
 
 def test_memo_budget_counts_code_sets():
     # 2 positions, 6 code sets compared with one round left, and 5 candidate
-    # answers: without the code sets the search would spend 7
+    # answers: without the code sets the search would spend 7.  ef_winner
+    # answers this game before any search (3 rounds exceed 2 atoms), so the
+    # search runs on its own
+    left, right = FiniteModel(2), FiniteModel(3)
     with pytest.raises(ResourceLimitError):
-        ef_winner(FiniteModel(2), FiniteModel(3), 3, memo_budget=12)
-    assert ef_winner(FiniteModel(2), FiniteModel(3), 3,
-                     memo_budget=13) == SPOILER
+        _Solver(left, right, 3, 12).duplicator_wins((), (), 3)
+    assert not _Solver(left, right, 3, 13).duplicator_wins((), (), 3)
+    assert ef_winner(left, right, 3, memo_budget=0) == SPOILER
 
 
 def test_memo_budget_counts_candidate_answers():

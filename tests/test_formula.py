@@ -142,6 +142,19 @@ def test_formulas_pickle_across_processes():
     assert f == parse(text) and hash(f) == hash(parse(text))
 
 
+def test_repr_writes_the_dataclass_text():
+    x = SetVar("X")
+    f = And(TRUE, Not(ExistsSet("X", Or(Eq(x, Bot()),
+                                        Mem(AtomVar("x"), x)))))
+    assert repr(f) == (
+        "And(left=TrueF(), right=Not(body=ExistsSet(var='X', body=Or("
+        "left=Eq(left=SetVar(name='X'), right=Bot()), right=Mem("
+        "atom=AtomVar(name='x'), container=SetVar(name='X'))))))")
+    assert repr(FALSE) == "FalseF()"
+    # written without recursion
+    assert repr(conj([TRUE] * 3000)).count("TrueF()") == 3000
+
+
 def test_roundtrip_on_corpus():
     for name, f in CORPUS:
         text = format_formula(f)

@@ -207,7 +207,7 @@ def test_every_formula_entry_point_ends_on_deep_input():
                      lambda: slow_evaluate(FiniteModel(1), f),
                      lambda: free_vars(f), lambda: free_set_vars(f),
                      lambda: is_sentence(f), lambda: is_desugared(f),
-                     lambda: all_identifiers(f)):
+                     lambda: all_identifiers(f), lambda: repr(f)):
             try:
                 call()
             except (ValueError, ResourceLimitError):
