@@ -87,7 +87,7 @@ def compile(f: Formula, *, cap: int | None = None) -> Dfa:
 def spectrum(f: Formula) -> UPSet:
     """The canonical ultimately periodic set of model sizes satisfying the
     sentence f (surface sugar allowed), cached apart from ``compile``;
-    ``desugar`` refuses one nested past the parser's limit uncached."""
+    ``desugar`` refuses, uncached, one it could desugar past 308 levels."""
     if summary(f).free:
         raise ValueError("spectrum requires a sentence")
     return _spectrum(f, effective_state_cap())

@@ -29,15 +29,15 @@ Membership checks its sorts when it is built, for code and text alike: an
 atom-sorted element and a set-sorted container.  The engines read these
 bases and attributes rather than listing classes.
 
-Every formula node stores its hash when built, and compares with ``==``
-and writes its ``repr`` on an explicit stack, so none of these recurses.
+Every formula node stores its hash when built; ``==``, ``repr`` and
+``pickle`` walk an explicit stack, so none of these recurses.
 ``summary`` is the one walk over a whole formula, without recursion: its
 free variables, names, leftover sugar and nestings.  ``free_vars``,
 ``all_identifiers``, ``is_sentence`` and ``sugar.is_desugared`` read it,
 and the entry points that recurse over a formula read its depth first,
 refusing one nested past the parser's limit (``_MAX_DEPTH``), or for those
-that take desugared input past what desugaring makes of parsed text
-(``_MAX_DESUGARED_DEPTH``), with ``ResourceLimitError``, the one
+that take or make desugared formulas past what desugaring makes of parsed
+text (``_MAX_DESUGARED_DEPTH``), with ``ResourceLimitError``, the one
 exception for every exceeded budget.
 """
 
@@ -117,8 +117,8 @@ MAX = MaxAtom()
 
 class Formula:
     """A node stores its hash when it is built, from its children's stored
-    hashes, and ``==`` and ``repr`` walk nodes on one explicit stack, so
-    none of them recurses however deep the formula."""
+    hashes, and ``==``, ``repr`` and ``pickle`` walk nodes on one explicit
+    stack, so none of them recurses however deep the formula."""
     __slots__ = ()
     __match_args__: ClassVar[tuple[str, ...]]
 
@@ -166,8 +166,30 @@ class Formula:
         return "".join(out)
 
     def __reduce__(self):
-        # rebuilt through the constructor: a stored hash is per process
-        return type(self), self._fields()
+        # (class, fields) from the leaves up, a child given by its index,
+        # so that pickle does not recurse and writes a shared child once
+        index, nodes, stack = {}, [], [self]
+        while stack:
+            g = stack[-1]
+            kids = [x for x in g._fields()
+                    if isinstance(x, Formula) and id(x) not in index]
+            if kids:
+                stack += kids
+            elif id(stack.pop()) not in index:
+                index[id(g)] = len(nodes)
+                nodes.append((type(g), tuple(
+                    index[id(x)] if isinstance(x, Formula) else x
+                    for x in g._fields())))
+        return _unflatten, (nodes,)
+
+
+def _unflatten(nodes: list) -> Formula:
+    """Rebuild what ``Formula.__reduce__`` flattened, through constructors
+    (a stored hash is per process); other fields are terms or names."""
+    built = []
+    for cls, fields in nodes:
+        built.append(cls(*(built[x] if type(x) is int else x for x in fields)))
+    return built[-1]
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -341,7 +363,7 @@ _MAX_DEPTH = 150
 # binders takes two levels, and the min and max witnesses of the innermost
 # atomic formula eight more (``ex1 x0 ... x149. min << max``).  ``compile``,
 # ``relativize``, ``format_formula`` and ``slow_evaluate``, which take
-# desugared formulas and recurse, refuse anything deeper.
+# desugared formulas and recurse, refuse deeper ones; ``desugar`` too.
 _MAX_DESUGARED_DEPTH = 2 * _MAX_DEPTH + 8
 
 

@@ -25,10 +25,12 @@ def is_desugared(f: Formula) -> bool:
 
 
 def desugar(f: Formula) -> Formula:
-    """f without sugar; a formula nested past the parser's limit is refused
-    with ResourceLimitError."""
+    """f without sugar.  Atom binders add a level each and min and max at
+    most eight, so f is refused with ResourceLimitError when depth + binder
+    nesting + 8 exceeds what desugaring makes of parsed text."""
     s = summary(f)
-    _check_nesting("formula", s.depth)
+    _check_nesting("desugared formula", s.depth + s.binder_nesting + 8,
+                   _MAX_DESUGARED_DEPTH)
     return _desugar(f, fresh_names(s.names), {})
 
 

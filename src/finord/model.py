@@ -6,18 +6,17 @@ position of the left set strictly precedes some position of the right set.
 
 ``evaluate`` computes standard truth by exhaustive enumeration, vectorized
 with numpy over bool tables with one axis per open variable (n values for
-an atom variable).  An atom quantifier reduces its axis; over a large table
-it folds one atom at a time instead, stopping once the answer is settled,
-so that no table widens by n.  A run of same-kind set quantifiers is one
-join: its body is split into parts along its And chain (Or chain under
-all2) and, for several variables, through what distributes over that
-chain; a variable gets an axis of 2^n values when the first part that reads
-it runs, and when few cells survive a part they are compacted onto one axis
-of rows shared by the variables bound so far.  ``nodes.summary``, one walk
-without recursion, gives the nestings the limits check on entry, the free
-variables and nestings of each part by which the join orders its parts,
-and the free variables of an atom quantifier's body when its fold
-estimate needs them.
+an atom variable, 2^n for a set variable).  Every run of same-kind binders
+of one sort is one join.  A set block's body is split into parts along its
+And chain (Or chain under all2) and, for several variables, through what
+distributes over that chain; a variable gets its axis when the first part
+that reads it runs, and when few cells survive a part they are compacted
+onto one axis of rows shared by the variables bound so far.  An atom
+block's body is one part; when its table would exceed _SLICE_CELLS, its
+trailing variables are bound one atom at a time until the answer is
+settled.  ``nodes.summary`` (one walk without recursion) gives the
+nestings checked on entry, the free variables and nestings that order a
+set block's parts, and an atom block's free variables for its estimate.
 Costs are exponential and guarded by explicit limits: the nesting of
 formulas, of set quantifiers and of binders (at most 32, each opening at
 most one numpy axis), and the cells of every table, rows included.
@@ -29,6 +28,7 @@ product structures, whose universe is pairs.
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 from math import prod
 from operator import and_, eq, le, or_
@@ -53,9 +53,9 @@ _KEEP = 8
 _MAX_AXES = 32
 
 # A binding is (name, axis, values): the variable ranges over the int64
-# array `values`, laid along table axis `axis`.  A folding atom quantifier
-# binds one atom at a time as a one-value slice, so its axis stays size 1;
-# the set variables of a join's rows share one axis, each with its values.
+# array `values`, laid along table axis `axis`.  A sliced atom variable is
+# bound to one atom as a one-value slice, so its axis stays size 1; the
+# variables of a join's rows share one axis, each with its values.
 _Binding = tuple[str, int, np.ndarray]
 
 # Truth function on Python bools, and the same function on bool tables.
@@ -99,17 +99,13 @@ class FiniteModel:
         return u != 0 and (u & (u - 1)) == 0
 
     def exle(self, u: int, v: int) -> bool:
-        if u == 0 or v == 0:
-            return False
-        return (u & -u).bit_length() - 1 < v.bit_length() - 1
+        return u != 0 and v != 0 and (u & -u).bit_length() < v.bit_length()
 
     def least_atom(self) -> int | None:
         return 1 if self.n else None
 
     def greatest_atom(self) -> int | None:
         return 1 << (self.n - 1) if self.n else None
-
-    # -- bit tables for the vectorized evaluator --
 
     def bit_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(lowest set bit index or n, highest set bit index or -1, popcount)
@@ -171,16 +167,14 @@ class _Evaluator:
     def __init__(self, model: FiniteModel, max_cells: int):
         self.model = model
         self.max_cells = max_cells
-        self.plans: dict[int, tuple] = {}
+        self.plans: dict[int, list] = {}
         self.set_values, self.atom_values = _tables(model.n)[:2]
         self.low, self.high, self.pop = model.bit_tables()
 
     def eval(self, f: Formula, binds: tuple[_Binding, ...], naxes: int,
              env: dict) -> np.ndarray:
-        if isinstance(f, TrueF):
-            return self._const(True, naxes)
-        if isinstance(f, FalseF):
-            return self._const(False, naxes)
+        if isinstance(f, (TrueF, FalseF)):
+            return self._const(isinstance(f, TrueF), naxes)
         if isinstance(f, Not):
             return self._neg(self.eval(f.body, binds, naxes, env))
         ops = _CONNECTIVES.get(type(f))
@@ -203,37 +197,40 @@ class _Evaluator:
                 return left if truth(True, c) else self._neg(left)
             return self._merge(table_op, left, right)
         if isinstance(f, Binder):
-            quant = self._join if f.over_sets else self._quant
-            return quant(f, binds, naxes, env)
+            return self._join(f, binds, naxes, env)
         return self._atomic(f, binds, naxes, env)
 
-    def _plan(self, f: Binder) -> tuple[list[str], list[tuple[int, Formula]]]:
-        """The run of same-kind set binders that f opens, and the parts of
-        its body, each with the index of the last of those variables it
-        reads.  Parts run in order of that index, then of set-binder and
-        binder nesting, so that cheap parts thin the rows first."""
+    def _plan(self, f: Binder) -> list:
+        """The run of same-kind binders of one sort that f opens, the parts
+        of its body, each with the index of the last of those variables it
+        reads, and the body's free variables, None until an atom block's
+        slice estimate needs them.  Parts run in order of that index, then
+        of set-binder and binder nesting, so that cheap parts thin the rows
+        first; a body of one part is not walked."""
         names, body = [], f
-        while (isinstance(body, Binder) and body.over_sets
+        while (isinstance(body, Binder) and body.over_sets == f.over_sets
                and body.exists == f.exists and body.var not in names):
             names.append(body.var)
             body = body.body
+        parts = [body]
+        if f.over_sets:
+            parts = self._split(body, f.exists, len(names) > 1)
+        if len(parts) == 1:
+            return [names, [(len(names) - 1, body)], None]
         keyed = []
-        for g in self._split(body, f.exists, len(names) > 1):
+        for g in parts:
             s = summary(g)
-            level = max([i for i, v in enumerate(names) if v in s.free],
-                        default=-1)
-            keyed.append((level, s.set_nesting, s.binder_nesting, len(keyed),
-                          g))
-        return names, [(k[0], k[-1]) for k in sorted(keyed)]
+            keyed.append((max([i for i, v in enumerate(names) if v in s.free],
+                              default=-1), s.set_nesting, s.binder_nesting,
+                          len(keyed), g))
+        return [names, [(k[0], k[-1]) for k in sorted(keyed)], None]
 
     def _split(self, f: Formula, exists: bool, deep: bool) -> list[Formula]:
-        """The parts of f's And chain (Or chain when not exists).  When
-        deep, that is when the block has several variables, a part is
-        split further through what distributes over the chain: an atom
-        binder of the other kind, which stays on every piece so that a
-        vacuous one keeps its meaning at size 0, and an implication's
-        right side.  The pieces can then run as soon as their own
-        variables are bound."""
+        """The parts of f's And chain (Or chain when not exists), split
+        further when deep (a block of several variables) through what
+        distributes over the chain, so that each piece runs once its own
+        variables are bound: an implication's right side, and an atom binder
+        of the other kind, kept on every piece (vacuous at size 0)."""
         parts, stack = [], [f]
         while stack:
             g = stack.pop()
@@ -255,33 +252,79 @@ class _Evaluator:
 
     def _join(self, f: Binder, binds: tuple[_Binding, ...], naxes: int,
               env: dict) -> np.ndarray:
-        """Run the block that f opens as a join.  A variable gets its own
-        axis when the first part that reads it runs, and each part is
-        merged into acc.  When at most 1/_KEEP of the cells stay undecided
-        (true under ex2, false under all2) for some outer assignment, they
-        move onto one row axis that the bound variables share.  After the
-        last part the block's axes are reduced, so a block of one part is a
-        plain axis reduction."""
+        """Run the block that f opens, over n atoms or 2^n sets, and reduce
+        its axes.  Sliced variables are bound one value at a time, and the
+        runs are merged until one settles the block; when every variable
+        the body reads is sliced, no axis is left to reduce."""
+        exists = f.exists
+        values = self.set_values if f.over_sets else self.atom_values
+        if not len(values):
+            return self._const(not exists, naxes)
         plan = self.plans.get(id(f))
         if plan is None:
             plan = self.plans[id(f)] = self._plan(f)
-        names, parts = plan
-        exists = f.exists
-        block: list[_Binding] = []
-        sizes: list[int] = []
-        acc: np.ndarray | None = None
+        sliced = [] if f.over_sets else self._sliced(plan, binds, len(values))
+        domains = [values] * len(plan[0])
+        acc = None
+        # an unsliced block runs once, without setting up product()
+        for picks in (itertools.product(range(len(values)), repeat=len(sliced))
+                      if sliced else [()]):
+            for i, a in zip(sliced, picks):
+                domains[i] = values[a:a + 1]
+            table = self._run(exists, plan, domains, binds, naxes, env)
+            if table.size == 1:
+                if bool(table.reshape(())) == exists:
+                    return self._const(exists, naxes)
+                continue
+            acc = table if acc is None else self._merge(
+                np.logical_or if exists else np.logical_and, acc, table)
+        if acc is None:
+            return self._const(not exists, naxes)
+        if sliced and max(acc.shape[naxes:]) == 1:
+            return acc.reshape(acc.shape[:naxes])
+        axes = tuple(range(naxes, acc.ndim))
+        return acc.any(axis=axes) if exists else acc.all(axis=axes)
+
+    def _sliced(self, plan: list, binds: tuple[_Binding, ...],
+                n: int) -> list[int]:
+        """The indices of the fewest trailing atom variables the body reads
+        that, sliced, bring n^(read variables left) times the distinct
+        open axes it reads to at most _SLICE_CELLS.  The body is walked
+        only when all variables and open axes together exceed that."""
+        names, parts, free = plan
+        if n ** len(names) * prod(
+                {axis: len(v) for _, axis, v in binds}.values()) <= _SLICE_CELLS:
+            return []
+        if free is None:
+            free = plan[2] = summary(parts[0][1]).free
+        read = [i for i, v in enumerate(names) if v in free]
+        cells = prod({axis: len(v) for name, axis, v in binds
+                      if name in free}.values())
+        keep = len(read)
+        while keep and n ** keep * cells > _SLICE_CELLS:
+            keep -= 1
+        return read[keep:]
+
+    def _run(self, exists: bool, plan: list, domains: list[np.ndarray],
+             binds: tuple[_Binding, ...], naxes: int, env: dict) -> np.ndarray:
+        """The block's unreduced table, each variable over its domain.  A
+        variable gets its axis when the first part that reads it runs, and
+        each part is merged into acc.  When at most 1/_KEEP of the cells
+        stay undecided (true under ex, false under all) for some outer
+        assignment, they move onto one row axis the bound variables share."""
+        names, parts, _ = plan
+        block, sizes, acc = [], [], None
         for i, (level, g) in enumerate(parts):
             while len(block) <= level:
-                block.append((names[len(block)], naxes + len(sizes),
-                              self.set_values))
-                sizes.append(len(self.set_values))
+                values = domains[len(block)]
+                block.append((names[len(block)], naxes + len(sizes), values))
+                sizes.append(len(values))
                 acc = None if acc is None else acc[..., None]
             table = self.eval(g, binds + tuple(block), naxes + len(sizes), env)
             if table.size == 1:
-                # one value for every cell: it settles the block or
-                # leaves acc as it is
+                # one value for every cell settles the block or changes nothing
                 if bool(table.reshape(())) != exists:
-                    return self._const(not exists, naxes)
+                    return table
                 continue
             acc = table if acc is None else self._merge(
                 np.logical_and if exists else np.logical_or, acc, table)
@@ -300,44 +343,7 @@ class _Evaluator:
                          for name, axis, values in block]
                 acc = np.broadcast_to(acc, acc.shape[:naxes] + tuple(sizes))
                 acc, sizes = acc[(Ellipsis,) + rows], [count]
-        if acc is None:
-            return self._const(exists, naxes)
-        axes = tuple(range(naxes, acc.ndim))
-        return acc.any(axis=axes) if exists else acc.all(axis=axes)
-
-    def _quant(self, f: Binder, binds: tuple[_Binding, ...], naxes: int,
-               env: dict) -> np.ndarray:
-        """Reduce an atom quantifier's body over a new last axis: in one
-        piece or, when the estimated live table exceeds _SLICE_CELLS, one
-        atom at a time until the answer is settled.  The estimate counts
-        the open axes the body reads; the body is walked for its free
-        variables only when all open axes together exceed the threshold."""
-        exists = f.exists
-        values = self.atom_values
-        if not len(values):
-            return self._const(not exists, naxes)
-        pieces = [values]
-        sizes = {axis: len(v) for _, axis, v in binds}
-        if len(values) * prod(sizes.values()) > _SLICE_CELLS:
-            free = summary(f.body).free
-            sizes = {axis: len(v) for name, axis, v in binds if name in free}
-            if len(values) * prod(sizes.values()) > _SLICE_CELLS:
-                pieces = [values[i:i + 1] for i in range(len(values))]
-        op = np.logical_or if exists else np.logical_and
-        acc: np.ndarray | None = None
-        for piece in pieces:
-            inner = binds + ((f.var, naxes, piece),)
-            body = self.eval(f.body, inner, naxes + 1, env)
-            if body.shape[-1] == 1:
-                body = body[..., 0]
-            else:
-                body = body.any(axis=-1) if exists else body.all(axis=-1)
-            if body.size == 1:
-                if bool(body.reshape(())) == exists:
-                    return body
-                continue
-            acc = body if acc is None else self._merge(op, acc, body)
-        return acc if acc is not None else self._const(not exists, naxes)
+        return self._const(exists, naxes) if acc is None else acc
 
     def _atomic(self, f: Formula, binds: tuple[_Binding, ...], naxes: int,
                 env: dict) -> np.ndarray:
@@ -359,26 +365,15 @@ class _Evaluator:
 
     def _term(self, t: Term, binds: tuple[_Binding, ...], naxes: int,
               env: dict):
-        """An int array shaped for the open axes, or None when the term is
-        undefined (endpoint constants in the empty order)."""
-        if isinstance(t, Bot):
-            return self._int_const(0, naxes)
-        if isinstance(t, MinAtom):
-            v = self.model.least_atom()
-            return None if v is None else self._int_const(v, naxes)
-        if isinstance(t, MaxAtom):
-            v = self.model.greatest_atom()
-            return None if v is None else self._int_const(v, naxes)
+        """An int array shaped for the open axes; None when undefined."""
         if isinstance(t, Variable):
             for name, axis, values in reversed(binds):
                 if name == t.name:
                     shape = [1] * naxes
                     shape[axis] = values.shape[0]
                     return values.reshape(shape)
-            if t.name in env:
-                return self._int_const(env[t.name], naxes)
-            raise ValueError(f"unbound variable {t.name}")
-        raise TypeError(f"not a term: {t!r}")
+        v = _slow_term(self.model, t, env)
+        return None if v is None else self._int_const(v, naxes)
 
     def _const(self, value: bool, naxes: int) -> np.ndarray:
         return np.array(bool(value), ndmin=naxes)
@@ -392,13 +387,11 @@ class _Evaluator:
             raise ResourceLimitError(
                 f"table of {cells} cells exceeds limit {self.max_cells}")
 
-    # Every bool table returned by eval() is freshly allocated for exactly
-    # one parent node, so a full-shaped operand can safely serve as the
-    # output buffer; this keeps conjunction chains at one live table.
-    # Operands have one ndim and each axis is 1 or full, so the broadcast
-    # shape is the larger size per axis.
-
     def _merge(self, op, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        # Every bool table eval() returns is fresh and has one parent, so a
+        # full-shaped operand can be the output: a conjunction chain keeps
+        # one live table.  Each axis is 1 or full, so the broadcast shape
+        # is the larger size per axis.
         shape = tuple(map(max, a.shape, b.shape))
         self._guard(shape)
         if a.shape == shape and a.dtype == bool and a.flags.writeable:
@@ -421,15 +414,12 @@ def slow_evaluate(struct, f: Formula, env: dict | None = None) -> bool:
     or atoms with short-circuiting.  Usable with FiniteModel and
     ProductStructure alike."""
     _check_nesting("formula", summary(f).depth, _MAX_DESUGARED_DEPTH)
-    env = dict(env or {})
-    return _slow(struct, f, env)
+    return _slow(struct, f, env or {})
 
 
 def _slow(m, f: Formula, env: dict) -> bool:
-    if isinstance(f, TrueF):
-        return True
-    if isinstance(f, FalseF):
-        return False
+    if isinstance(f, (TrueF, FalseF)):
+        return isinstance(f, TrueF)
     if isinstance(f, Not):
         return not _slow(m, f.body, env)
     if isinstance(f, And):
@@ -442,24 +432,13 @@ def _slow(m, f: Formula, env: dict) -> bool:
         return _slow(m, f.left, env) == _slow(m, f.right, env)
     if isinstance(f, Binder):
         domain = m.universe() if f.over_sets else m.atoms()
-        want = f.exists
-        saved = env.get(f.var, _UNDEF)
-        try:
-            for u in domain:
-                env[f.var] = u
-                if _slow(m, f.body, env) == want:
-                    return want
-            return not want
-        finally:
-            if saved is _UNDEF:
-                env.pop(f.var, None)
-            else:
-                env[f.var] = saved
+        return any(_slow(m, f.body, {**env, f.var: u}) == f.exists
+                   for u in domain) == f.exists
     terms = terms_of(f)
     if not terms:
         raise TypeError(f"not a formula: {f!r}")
     args = [_slow_term(m, t, env) for t in terms]
-    if any(a is _UNDEF for a in args):
+    if None in args:
         return False
     if isinstance(f, At):
         return m.is_atom(args[0])
@@ -472,18 +451,14 @@ def _slow(m, f: Formula, env: dict) -> bool:
     return m.subset(a, b)
 
 
-_UNDEF = object()
-
-
 def _slow_term(m, t: Term, env: dict):
+    """The term's value; None for an endpoint of the empty order."""
     if isinstance(t, Bot):
         return m.bot
     if isinstance(t, MinAtom):
-        v = m.least_atom()
-        return _UNDEF if v is None else v
+        return m.least_atom()
     if isinstance(t, MaxAtom):
-        v = m.greatest_atom()
-        return _UNDEF if v is None else v
+        return m.greatest_atom()
     if isinstance(t, Variable):
         if t.name not in env:
             raise ValueError(f"unbound variable {t.name}")

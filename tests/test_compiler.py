@@ -9,7 +9,8 @@ import pytest
 from finord import (DUPLICATOR, And, At, Bot, Dfa, Eq, ExistsSet, Exle,
                     FalseF, ForallSet, Iff, Implies, Mem, Not, Or,
                     ResourceLimitError, SetVar, Subset, TrueF, UPSet,
-                    base_automaton, build_psi, build_rho, clear_caches,
+                    base_automaton, build_psi, build_rho, build_sum,
+                    clear_caches,
                     compile, cylindrify, desugar, ef_winner,
                     effective_state_cap, equivalent, evaluate,
                     format_formula, minimize, parse, project, same_set,
@@ -207,6 +208,23 @@ def test_spectrum_homomorphism():
     assert same_set(spectrum(Or(f, g)), spectrum(f).union(spectrum(g)))
     assert same_set(spectrum(Not(f)), spectrum(f).complement())
     assert same_set(spectrum(And(f, g)), spectrum(f).intersect(spectrum(g)))
+
+
+def test_sum_of_deep_counting_sentences():
+    # build_sum desugars and relativizes its summands, so its output nests
+    # 169 levels deep for two psi(eq, 40), past the parser's 150 but within
+    # what desugar's bound admits; 40 atoms and 40 more are exactly 80,
+    # also when the spectrum is asked for from 200 frames down
+    psi = build_psi("eq", 40)
+    f = build_sum(psi, psi)
+    assert summary(f).depth == 169
+
+    def nested(k):
+        return spectrum(f) if k == 0 else nested(k - 1)
+
+    clear_caches()
+    assert nested(200) == UPSet(81, 1, frozenset({80}), frozenset())
+    clear_caches()
 
 
 def test_compile_cap():

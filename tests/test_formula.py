@@ -189,6 +189,21 @@ def test_desugar_fixed_point():
         assert desugar(d) == d, name
 
 
+def test_desugar_nests_within_its_bound():
+    # each atom binder adds one level on its path and the min and max
+    # witnesses at most eight below an atomic formula: desugar refuses on
+    # this bound, which is exact for the deepest text the parser accepts
+    rng = random.Random(29)
+    formulas = [f for _, f in CORPUS]
+    formulas += [_random_sentence(rng, 4, ("X",), ("y",)) for _ in range(200)]
+    for f in formulas:
+        s = summary(f)
+        assert summary(desugar(f)).depth <= s.depth + s.binder_nesting + 8, f
+    f = parse("ex1 " + " ".join(f"x{i}" for i in range(150)) + ". min << max")
+    s = summary(f)
+    assert summary(desugar(f)).depth == s.depth + s.binder_nesting + 8 == 308
+
+
 def test_desugar_preserves_semantics():
     sugared = [parse("ex1 x. ex1 y. x < y"),
                parse("all1 x. X(x) -> at(min)"),

@@ -1,6 +1,7 @@
 """Finite models: structure tables, both evaluators, products, the glue
 isomorphism, and resource guards."""
 
+import pickle
 import random
 
 import pytest
@@ -80,11 +81,13 @@ def test_endpoint_constants_on_empty_model():
     assert evaluate(m2, parse("min = max")) is False
 
 
-# Atom quantifiers reduce a whole axis below _SLICE_CELLS estimated cells
-# and fold one atom at a time above it; 0 sends every one of them through
-# the fold, so both sides of the choice are checked against slow_evaluate.
+# Atom blocks reduce whole axes below _SLICE_CELLS estimated cells and
+# bind their trailing variables one atom at a time above it; 0 slices every
+# variable an atom block reads, so both sides of the choice are checked
+# against slow_evaluate.
+_DEFAULT_SLICE_CELLS = finord.model._SLICE_CELLS
 fold_threshold = pytest.mark.parametrize(
-    "slice_cells", [finord.model._SLICE_CELLS, 0], ids=["axis", "fold"])
+    "slice_cells", [_DEFAULT_SLICE_CELLS, 0], ids=["axis", "fold"])
 
 
 @fold_threshold
@@ -165,14 +168,19 @@ def test_deep_formulas_are_refused_without_recursion():
         atom_binders = ExistsAtom(f"x{i}", atom_binders)
     for f, depth in [(conj([TRUE] * 3000), 2999), (_not_chain(3000), 3000),
                      (atom_binders, 200)]:
-        for call in (lambda: evaluate(FiniteModel(2), f),
-                     lambda: spectrum(f), lambda: point_models(Fin(3), f),
+        with pytest.raises(ResourceLimitError,
+                           match=f"formula nesting {depth} exceeds limit 150"):
+            evaluate(FiniteModel(2), f)
+        # desugaring refuses what it would nest past 308 levels, bounded
+        # by depth + binder nesting + 8
+        bound = depth + summary(f).binder_nesting + 8
+        for call in (lambda: spectrum(f), lambda: point_models(Fin(3), f),
                      lambda: pseudofinite_valid(f),
                      lambda: satisfiable_witness(f), lambda: desugar(f),
                      lambda: build_sum(f, TRUE)):
             with pytest.raises(ResourceLimitError,
-                               match=f"formula nesting {depth} exceeds "
-                                     "limit 150"):
+                               match=f"desugared formula nesting {bound} "
+                                     "exceeds limit 308"):
                 call()
         assert summary(f).depth == depth
         assert is_sentence(f) and not free_vars(f) and not free_set_vars(f)
@@ -198,6 +206,8 @@ def test_every_formula_entry_point_ends_on_deep_input():
         f, g = make(), make()
         assert f is not g and f == g and hash(f) == hash(g)
         assert f != Not(g) and g != TRUE
+        copy = pickle.loads(pickle.dumps(f))
+        assert copy is not f and copy == f and hash(copy) == hash(f)
         for call in (lambda: evaluate(FiniteModel(2), f),
                      lambda: spectrum(f), lambda: point_models(Fin(3), f),
                      lambda: pseudofinite_valid(f),
@@ -244,24 +254,33 @@ _DEFAULT_KEEP = finord.model._KEEP
 
 
 def _check_join(monkeypatch, m, f, env=None):
-    """evaluate agrees with slow_evaluate both with the default compaction
-    rule and with a join that compacts after every part, so the row path
-    is checked at sizes where few parts are selective enough."""
+    """evaluate agrees with slow_evaluate with the default compaction rule
+    and with a join that compacts after every part, so the row path is
+    checked at sizes where few parts are selective enough, and with atom
+    blocks run whole, with their trailing variables sliced (at most 4
+    cells left), and sliced in every variable they read."""
     want = slow_evaluate(m, f, env)
     for keep in (_DEFAULT_KEEP, 0):
-        monkeypatch.setattr(finord.model, "_KEEP", keep)
-        assert evaluate(m, f, env, max_set_depth=6) == want, (keep, m, env, f)
+        for slice_cells in (_DEFAULT_SLICE_CELLS, 4, 0):
+            monkeypatch.setattr(finord.model, "_KEEP", keep)
+            monkeypatch.setattr(finord.model, "_SLICE_CELLS", slice_cells)
+            assert evaluate(m, f, env, max_set_depth=6) == want, \
+                (keep, slice_cells, m, env, f)
 
 
 def _random_block(rng, outer_sets, outer_atoms):
-    """One block of 1-3 same-kind set binders whose body is a conjunction
-    (a disjunction under all2) of 1-4 parts over the block's and the
-    outer variables.  Some parts are themselves a conjunction (under all2
-    a disjunction) under an atom binder, which may be vacuous, or behind
-    an implication; the block's last variables may go unused."""
+    """One block of 1-3 same-kind binders, over sets or over atoms, whose
+    body is a conjunction (a disjunction under all2 and all1) of 1-4 parts
+    over the block's and the outer variables.  Some parts are themselves a
+    conjunction (a disjunction) under an atom binder, which may be vacuous,
+    or behind an implication; the block's last variables may go unused."""
     exists = rng.random() < 0.5
-    names = tuple(f"B{i}" for i in range(rng.randint(1, 3)))
-    sets = outer_sets + names[:rng.randint(1, len(names))]
+    over_sets = rng.random() < 0.6
+    names = tuple(f"{'B' if over_sets else 'b'}{i}"
+                  for i in range(rng.randint(1, 3)))
+    used = names[:rng.randint(1, len(names))]
+    sets = outer_sets + used if over_sets else outer_sets
+    atoms = outer_atoms if over_sets else outer_atoms + used
     join = conj if exists else disj
 
     def part(atoms):
@@ -272,16 +291,17 @@ def _random_block(rng, outer_sets, outer_atoms):
         roll = rng.random()
         if roll < 0.25:
             binder = rng.choice([ExistsAtom, ForallAtom])
-            parts.append(binder("z", join([part(outer_atoms + ("z",)),
-                                           part(outer_atoms + ("z",))])))
+            parts.append(binder("z", join([part(atoms + ("z",)),
+                                           part(atoms + ("z",))])))
         elif roll < 0.35:
-            parts.append(Implies(part(outer_atoms),
-                                 join([part(outer_atoms), part(outer_atoms)])))
+            parts.append(Implies(part(atoms), join([part(atoms), part(atoms)])))
         else:
-            parts.append(part(outer_atoms))
+            parts.append(part(atoms))
     f = join(parts)
+    binder = ((ExistsSet, ForallSet) if over_sets
+              else (ExistsAtom, ForallAtom))[not exists]
     for name in reversed(names):
-        f = (ExistsSet if exists else ForallSet)(name, f)
+        f = binder(name, f)
     return f
 
 
