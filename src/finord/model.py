@@ -14,9 +14,10 @@ that reads it runs, and when few cells survive a part they are compacted
 onto one axis of rows shared by the variables bound so far.  An atom
 block's body is one part; when its table would exceed _SLICE_CELLS, its
 trailing variables are bound one atom at a time until the answer is
-settled.  ``nodes.summary`` (one walk without recursion) gives the
-nestings checked on entry, the free variables and nestings that order a
-set block's parts, and an atom block's free variables for its estimate.
+settled, so that no table widens by n.  ``nodes.summary``, one walk
+without recursion, gives the nestings the limits check on entry, the free
+variables and nestings by which a set block orders its parts, and the
+free variables of an atom block's body when its slice estimate needs them.
 Costs are exponential and guarded by explicit limits: the nesting of
 formulas, of set quantifiers and of binders (at most 32, each opening at
 most one numpy axis), and the cells of every table, rows included.
@@ -99,13 +100,17 @@ class FiniteModel:
         return u != 0 and (u & (u - 1)) == 0
 
     def exle(self, u: int, v: int) -> bool:
-        return u != 0 and v != 0 and (u & -u).bit_length() < v.bit_length()
+        if u == 0 or v == 0:
+            return False
+        return (u & -u).bit_length() - 1 < v.bit_length() - 1
 
     def least_atom(self) -> int | None:
         return 1 if self.n else None
 
     def greatest_atom(self) -> int | None:
         return 1 << (self.n - 1) if self.n else None
+
+    # -- bit tables for the vectorized evaluator --
 
     def bit_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(lowest set bit index or n, highest set bit index or -1, popcount)
@@ -167,14 +172,16 @@ class _Evaluator:
     def __init__(self, model: FiniteModel, max_cells: int):
         self.model = model
         self.max_cells = max_cells
-        self.plans: dict[int, list] = {}
+        self.plans: dict[int, tuple] = {}
         self.set_values, self.atom_values = _tables(model.n)[:2]
         self.low, self.high, self.pop = model.bit_tables()
 
     def eval(self, f: Formula, binds: tuple[_Binding, ...], naxes: int,
              env: dict) -> np.ndarray:
-        if isinstance(f, (TrueF, FalseF)):
-            return self._const(isinstance(f, TrueF), naxes)
+        if isinstance(f, TrueF):
+            return self._const(True, naxes)
+        if isinstance(f, FalseF):
+            return self._const(False, naxes)
         if isinstance(f, Not):
             return self._neg(self.eval(f.body, binds, naxes, env))
         ops = _CONNECTIVES.get(type(f))
@@ -200,13 +207,14 @@ class _Evaluator:
             return self._join(f, binds, naxes, env)
         return self._atomic(f, binds, naxes, env)
 
-    def _plan(self, f: Binder) -> list:
-        """The run of same-kind binders of one sort that f opens, the parts
-        of its body, each with the index of the last of those variables it
-        reads, and the body's free variables, None until an atom block's
-        slice estimate needs them.  Parts run in order of that index, then
-        of set-binder and binder nesting, so that cheap parts thin the rows
-        first; a body of one part is not walked."""
+    def _plan(self, f: Binder) -> tuple[list[str], list[tuple[int, Formula]]]:
+        """The run of same-kind binders of one sort that f opens, and the
+        parts of its body, each with the index of the last of those
+        variables it reads.  Parts run in order of that index, then of
+        set-binder and binder nesting, so that cheap parts thin the rows
+        first.  An atom block's body is one part.  A body of one part is
+        not walked: it is taken to read every variable, which costs
+        nothing, since an axis it does not read keeps size 1."""
         names, body = [], f
         while (isinstance(body, Binder) and body.over_sets == f.over_sets
                and body.exists == f.exists and body.var not in names):
@@ -216,21 +224,24 @@ class _Evaluator:
         if f.over_sets:
             parts = self._split(body, f.exists, len(names) > 1)
         if len(parts) == 1:
-            return [names, [(len(names) - 1, body)], None]
+            return names, [(len(names) - 1, body)]
         keyed = []
         for g in parts:
             s = summary(g)
-            keyed.append((max([i for i, v in enumerate(names) if v in s.free],
-                              default=-1), s.set_nesting, s.binder_nesting,
-                          len(keyed), g))
-        return [names, [(k[0], k[-1]) for k in sorted(keyed)], None]
+            level = max([i for i, v in enumerate(names) if v in s.free],
+                        default=-1)
+            keyed.append((level, s.set_nesting, s.binder_nesting, len(keyed),
+                          g))
+        return names, [(k[0], k[-1]) for k in sorted(keyed)]
 
     def _split(self, f: Formula, exists: bool, deep: bool) -> list[Formula]:
-        """The parts of f's And chain (Or chain when not exists), split
-        further when deep (a block of several variables) through what
-        distributes over the chain, so that each piece runs once its own
-        variables are bound: an implication's right side, and an atom binder
-        of the other kind, kept on every piece (vacuous at size 0)."""
+        """The parts of f's And chain (Or chain when not exists).  When
+        deep, that is when the block has several variables, a part is
+        split further through what distributes over the chain: an atom
+        binder of the other kind, which stays on every piece so that a
+        vacuous one keeps its meaning at size 0, and an implication's
+        right side.  The pieces can then run as soon as their own
+        variables are bound."""
         parts, stack = [], [f]
         while stack:
             g = stack.pop()
@@ -252,10 +263,10 @@ class _Evaluator:
 
     def _join(self, f: Binder, binds: tuple[_Binding, ...], naxes: int,
               env: dict) -> np.ndarray:
-        """Run the block that f opens, over n atoms or 2^n sets, and reduce
-        its axes.  Sliced variables are bound one value at a time, and the
-        runs are merged until one settles the block; when every variable
-        the body reads is sliced, no axis is left to reduce."""
+        """Run the block that f opens over n atoms or 2^n sets: once or,
+        when an atom block's table would exceed _SLICE_CELLS, once per
+        value of its sliced variables, each bound as a one-value slice,
+        until one run settles the block."""
         exists = f.exists
         values = self.set_values if f.over_sets else self.atom_values
         if not len(values):
@@ -263,57 +274,55 @@ class _Evaluator:
         plan = self.plans.get(id(f))
         if plan is None:
             plan = self.plans[id(f)] = self._plan(f)
-        sliced = [] if f.over_sets else self._sliced(plan, binds, len(values))
         domains = [values] * len(plan[0])
-        acc = None
-        # an unsliced block runs once, without setting up product()
-        for picks in (itertools.product(range(len(values)), repeat=len(sliced))
-                      if sliced else [()]):
+        sliced = [] if f.over_sets else self._sliced(plan, binds, len(values))
+        if not sliced:
+            return self._run(exists, plan, domains, binds, naxes, env)
+        op = np.logical_or if exists else np.logical_and
+        acc: np.ndarray | None = None
+        for picks in itertools.product(range(len(values)), repeat=len(sliced)):
             for i, a in zip(sliced, picks):
                 domains[i] = values[a:a + 1]
             table = self._run(exists, plan, domains, binds, naxes, env)
             if table.size == 1:
                 if bool(table.reshape(())) == exists:
-                    return self._const(exists, naxes)
+                    return table
                 continue
-            acc = table if acc is None else self._merge(
-                np.logical_or if exists else np.logical_and, acc, table)
-        if acc is None:
-            return self._const(not exists, naxes)
-        if sliced and max(acc.shape[naxes:]) == 1:
-            return acc.reshape(acc.shape[:naxes])
-        axes = tuple(range(naxes, acc.ndim))
-        return acc.any(axis=axes) if exists else acc.all(axis=axes)
+            acc = table if acc is None else self._merge(op, acc, table)
+        return acc if acc is not None else self._const(not exists, naxes)
 
-    def _sliced(self, plan: list, binds: tuple[_Binding, ...],
+    def _sliced(self, plan: tuple, binds: tuple[_Binding, ...],
                 n: int) -> list[int]:
-        """The indices of the fewest trailing atom variables the body reads
-        that, sliced, bring n^(read variables left) times the distinct
-        open axes it reads to at most _SLICE_CELLS.  The body is walked
-        only when all variables and open axes together exceed that."""
-        names, parts, free = plan
-        if n ** len(names) * prod(
-                {axis: len(v) for _, axis, v in binds}.values()) <= _SLICE_CELLS:
+        """The fewest trailing variables of an atom block that its body
+        reads and that, sliced, bring n^(read variables left) times the
+        distinct open axes the body reads to at most _SLICE_CELLS.  The
+        body is walked for its free variables only when all block
+        variables and open axes together exceed the threshold."""
+        names, [(_, body)] = plan
+        sizes = {axis: len(v) for _, axis, v in binds}
+        if n ** len(names) * prod(sizes.values()) <= _SLICE_CELLS:
             return []
-        if free is None:
-            free = plan[2] = summary(parts[0][1]).free
+        free = summary(body).free
         read = [i for i, v in enumerate(names) if v in free]
-        cells = prod({axis: len(v) for name, axis, v in binds
-                      if name in free}.values())
+        sizes = {axis: len(v) for name, axis, v in binds if name in free}
         keep = len(read)
-        while keep and n ** keep * cells > _SLICE_CELLS:
+        while keep and n ** keep * prod(sizes.values()) > _SLICE_CELLS:
             keep -= 1
         return read[keep:]
 
-    def _run(self, exists: bool, plan: list, domains: list[np.ndarray],
+    def _run(self, exists: bool, plan: tuple, domains: list[np.ndarray],
              binds: tuple[_Binding, ...], naxes: int, env: dict) -> np.ndarray:
-        """The block's unreduced table, each variable over its domain.  A
-        variable gets its axis when the first part that reads it runs, and
-        each part is merged into acc.  When at most 1/_KEEP of the cells
-        stay undecided (true under ex, false under all) for some outer
-        assignment, they move onto one row axis the bound variables share."""
-        names, parts, _ = plan
-        block, sizes, acc = [], [], None
+        """One run of a block, each variable over its domain.  A variable
+        gets its own axis when the first part that reads it runs, and each
+        part is merged into acc.  When at most 1/_KEEP of the cells stay
+        undecided (true under ex, false under all) for some outer
+        assignment, they move onto one row axis that the bound variables
+        share.  After the last part the block's axes are reduced, or only
+        dropped when each has one value."""
+        names, parts = plan
+        block: list[_Binding] = []
+        sizes: list[int] = []
+        acc: np.ndarray | None = None
         for i, (level, g) in enumerate(parts):
             while len(block) <= level:
                 values = domains[len(block)]
@@ -322,9 +331,10 @@ class _Evaluator:
                 acc = None if acc is None else acc[..., None]
             table = self.eval(g, binds + tuple(block), naxes + len(sizes), env)
             if table.size == 1:
-                # one value for every cell settles the block or changes nothing
+                # one value for every cell: it settles the block or
+                # leaves acc as it is
                 if bool(table.reshape(())) != exists:
-                    return table
+                    return self._const(not exists, naxes)
                 continue
             acc = table if acc is None else self._merge(
                 np.logical_and if exists else np.logical_or, acc, table)
@@ -343,7 +353,12 @@ class _Evaluator:
                          for name, axis, values in block]
                 acc = np.broadcast_to(acc, acc.shape[:naxes] + tuple(sizes))
                 acc, sizes = acc[(Ellipsis,) + rows], [count]
-        return self._const(exists, naxes) if acc is None else acc
+        if acc is None:
+            return self._const(exists, naxes)
+        if max(acc.shape[naxes:], default=1) == 1:
+            return acc.reshape(acc.shape[:naxes])
+        axes = tuple(range(naxes, acc.ndim))
+        return acc.any(axis=axes) if exists else acc.all(axis=axes)
 
     def _atomic(self, f: Formula, binds: tuple[_Binding, ...], naxes: int,
                 env: dict) -> np.ndarray:
@@ -365,15 +380,26 @@ class _Evaluator:
 
     def _term(self, t: Term, binds: tuple[_Binding, ...], naxes: int,
               env: dict):
-        """An int array shaped for the open axes; None when undefined."""
+        """An int array shaped for the open axes, or None when the term is
+        undefined (endpoint constants in the empty order)."""
+        if isinstance(t, Bot):
+            return self._int_const(0, naxes)
+        if isinstance(t, MinAtom):
+            v = self.model.least_atom()
+            return None if v is None else self._int_const(v, naxes)
+        if isinstance(t, MaxAtom):
+            v = self.model.greatest_atom()
+            return None if v is None else self._int_const(v, naxes)
         if isinstance(t, Variable):
             for name, axis, values in reversed(binds):
                 if name == t.name:
                     shape = [1] * naxes
                     shape[axis] = values.shape[0]
                     return values.reshape(shape)
-        v = _slow_term(self.model, t, env)
-        return None if v is None else self._int_const(v, naxes)
+            if t.name in env:
+                return self._int_const(env[t.name], naxes)
+            raise ValueError(f"unbound variable {t.name}")
+        raise TypeError(f"not a term: {t!r}")
 
     def _const(self, value: bool, naxes: int) -> np.ndarray:
         return np.array(bool(value), ndmin=naxes)
@@ -387,11 +413,13 @@ class _Evaluator:
             raise ResourceLimitError(
                 f"table of {cells} cells exceeds limit {self.max_cells}")
 
+    # Every bool table returned by eval() is freshly allocated for exactly
+    # one parent node, so a full-shaped operand can safely serve as the
+    # output buffer; this keeps conjunction chains at one live table.
+    # Operands have one ndim and each axis is 1 or full, so the broadcast
+    # shape is the larger size per axis.
+
     def _merge(self, op, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        # Every bool table eval() returns is fresh and has one parent, so a
-        # full-shaped operand can be the output: a conjunction chain keeps
-        # one live table.  Each axis is 1 or full, so the broadcast shape
-        # is the larger size per axis.
         shape = tuple(map(max, a.shape, b.shape))
         self._guard(shape)
         if a.shape == shape and a.dtype == bool and a.flags.writeable:
@@ -414,12 +442,15 @@ def slow_evaluate(struct, f: Formula, env: dict | None = None) -> bool:
     or atoms with short-circuiting.  Usable with FiniteModel and
     ProductStructure alike."""
     _check_nesting("formula", summary(f).depth, _MAX_DESUGARED_DEPTH)
-    return _slow(struct, f, env or {})
+    env = dict(env or {})
+    return _slow(struct, f, env)
 
 
 def _slow(m, f: Formula, env: dict) -> bool:
-    if isinstance(f, (TrueF, FalseF)):
-        return isinstance(f, TrueF)
+    if isinstance(f, TrueF):
+        return True
+    if isinstance(f, FalseF):
+        return False
     if isinstance(f, Not):
         return not _slow(m, f.body, env)
     if isinstance(f, And):
@@ -432,13 +463,24 @@ def _slow(m, f: Formula, env: dict) -> bool:
         return _slow(m, f.left, env) == _slow(m, f.right, env)
     if isinstance(f, Binder):
         domain = m.universe() if f.over_sets else m.atoms()
-        return any(_slow(m, f.body, {**env, f.var: u}) == f.exists
-                   for u in domain) == f.exists
+        want = f.exists
+        saved = env.get(f.var, _UNDEF)
+        try:
+            for u in domain:
+                env[f.var] = u
+                if _slow(m, f.body, env) == want:
+                    return want
+            return not want
+        finally:
+            if saved is _UNDEF:
+                env.pop(f.var, None)
+            else:
+                env[f.var] = saved
     terms = terms_of(f)
     if not terms:
         raise TypeError(f"not a formula: {f!r}")
     args = [_slow_term(m, t, env) for t in terms]
-    if None in args:
+    if any(a is _UNDEF for a in args):
         return False
     if isinstance(f, At):
         return m.is_atom(args[0])
@@ -451,14 +493,18 @@ def _slow(m, f: Formula, env: dict) -> bool:
     return m.subset(a, b)
 
 
+_UNDEF = object()
+
+
 def _slow_term(m, t: Term, env: dict):
-    """The term's value; None for an endpoint of the empty order."""
     if isinstance(t, Bot):
         return m.bot
     if isinstance(t, MinAtom):
-        return m.least_atom()
+        v = m.least_atom()
+        return _UNDEF if v is None else v
     if isinstance(t, MaxAtom):
-        return m.greatest_atom()
+        v = m.greatest_atom()
+        return _UNDEF if v is None else v
     if isinstance(t, Variable):
         if t.name not in env:
             raise ValueError(f"unbound variable {t.name}")

@@ -268,14 +268,13 @@ def _check_join(monkeypatch, m, f, env=None):
                 (keep, slice_cells, m, env, f)
 
 
-def _random_block(rng, outer_sets, outer_atoms):
+def _random_block(rng, outer_sets, outer_atoms, over_sets):
     """One block of 1-3 same-kind binders, over sets or over atoms, whose
     body is a conjunction (a disjunction under all2 and all1) of 1-4 parts
     over the block's and the outer variables.  Some parts are themselves a
     conjunction (a disjunction) under an atom binder, which may be vacuous,
     or behind an implication; the block's last variables may go unused."""
     exists = rng.random() < 0.5
-    over_sets = rng.random() < 0.6
     names = tuple(f"{'B' if over_sets else 'b'}{i}"
                   for i in range(rng.randint(1, 3)))
     used = names[:rng.randint(1, len(names))]
@@ -306,9 +305,10 @@ def _random_block(rng, outer_sets, outer_atoms):
 
 
 def test_join_agrees_on_random_blocks(monkeypatch):
+    # 60 set blocks, then 40 atom blocks
     rng = random.Random(13)
-    for _ in range(60):
-        f = _random_block(rng, (), ())
+    for over_sets in [True] * 60 + [False] * 40:
+        f = _random_block(rng, (), (), over_sets)
         for n in range(5):
             _check_join(monkeypatch, FiniteModel(n), f)
 
@@ -316,10 +316,10 @@ def test_join_agrees_on_random_blocks(monkeypatch):
 def test_join_agrees_under_open_axes(monkeypatch):
     # the block runs under an outer set axis and an outer atom axis (the
     # atom binder between keeps X out of the block), or reads the same
-    # variables from env
+    # variables from env; 30 set blocks, then 20 atom blocks
     rng = random.Random(17)
-    for _ in range(30):
-        body = _random_block(rng, ("X",), ("y",))
+    for over_sets in [True] * 30 + [False] * 20:
+        body = _random_block(rng, ("X",), ("y",), over_sets)
         outer = rng.choice([ExistsSet, ForallSet])(
             "X", rng.choice([ExistsAtom, ForallAtom])("y", body))
         for n in range(4):
