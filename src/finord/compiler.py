@@ -8,19 +8,24 @@ product (``automata.combine``), and a set quantifier projects its
 variable's track away (universal quantification via double complement),
 so a binder that reuses a name needs no renaming.
 Each compile builds a connective or binder once per shape, its form up to
-renaming (``_shapes``: bound variables go by binder, free ones by first
+renaming (``_Shapes``: bound variables go by binder, free ones by first
 occurrence); a later node of that shape renames the tracks of the automaton
 kept for the first (``automata._rename``), and the memo ends with the call.
 Before compiling, quantifiers are miniscoped: a universal is pushed through
-the conjuncts of its body and an existential through the disjuncts, so each
-projection works on an automaton with fewer tracks.  For a sentence the
-result has no tracks, and its accepted lengths — extracted from the unary
-transition lasso — are exactly the model sizes satisfying the sentence.
+the conjuncts of its body and an existential through the disjuncts, and
+the links of a binder's body that do not mention its variable move outside
+it (an existential's conjuncts, a universal's disjuncts and antecedents),
+so each projection works on an automaton with fewer tracks.  That pass
+adds every node it keeps or builds to the shapes, whose free variables
+tell which links move.  For a sentence the result has no tracks, and its
+accepted lengths — extracted from the unary transition lasso — are
+exactly the model sizes satisfying the sentence.
 """
 
 from __future__ import annotations
 
 from functools import cache, lru_cache
+from operator import is_
 
 from . import automata as au
 from .automata import DEFAULT_STATE_CAP, Dfa, effective_state_cap
@@ -29,7 +34,6 @@ from .formula.nodes import (_MAX_DESUGARED_DEPTH, And, At, Binary, Binder,
                             Relation, SetVar, Subset, TrueF, Variable,
                             _check_nesting, rebuild, subformulas, summary,
                             terms_of)
-from .formula.builders import conj, disj
 from .formula.sugar import desugar
 from .upsets import UPSet
 
@@ -99,12 +103,15 @@ _CACHE_SIZE = 4096
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _compiled(f: Formula, cap: int) -> Dfa:
-    return _compile(_miniscope(f), cap)
+    shapes = _Shapes()
+    return _compile(_miniscope(f, shapes), cap, shapes)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _spectrum(f: Formula, cap: int) -> UPSet:
-    return au.lasso_spectrum(_compile(_miniscope(desugar(f)), cap))
+    shapes = _Shapes()
+    return au.lasso_spectrum(_compile(_miniscope(desugar(f), shapes), cap,
+                                      shapes))
 
 
 def clear_caches() -> None:
@@ -113,11 +120,14 @@ def clear_caches() -> None:
     _spectrum.cache_clear()
 
 
-def _compile(f: Formula, cap: int) -> Dfa:
-    (shapes, repeated), memo = _shapes(f), {}
+def _compile(f: Formula, cap: int, shapes: _Shapes | None = None) -> Dfa:
+    """The automaton of f, made once per repeated shape within the call;
+    shapes, when given, holds f's nodes already."""
+    shapes = _Shapes(f) if shapes is None else shapes
+    of, repeated, memo = shapes.of, shapes.repeated, {}
 
     def walk(g: Formula) -> Dfa:
-        shape, names = shapes[id(g)]
+        shape, names, _ = of[id(g)]
         if shape in memo:
             a, where = memo[shape]
             return au._rename(a, [names[i] for i in where])
@@ -147,66 +157,142 @@ def _compile(f: Formula, cap: int) -> Dfa:
     return walk(f)
 
 
-def _shapes(f: Formula):
+class _Shapes:
     """Each node's shape (an int) and free variables in first-occurrence
     order, by ``id``, and the shapes that occur again.  A shape is interned
     from the node's type, its children's shapes and where their free
-    variables fall among the node's, leaves first and without recursion."""
-    order = [f]
-    for g in order:
-        order += subformulas(g)
-    out, interned, repeated = {}, {}, set()
-    for g in reversed(order):
+    variables fall among the node's, so a node is added after its children;
+    it is kept with them, so that its id stays its own.  Given a formula,
+    every node of it is added, leaves first and without recursion."""
+
+    def __init__(self, f: Formula | None = None):
+        self.of, self.interned, self.repeated = {}, {}, set()
+        order = [] if f is None else [f]
+        for g in order:
+            order += subformulas(g)
+        for g in reversed(order):
+            self.add(g)
+
+    def add(self, g: Formula) -> Formula:
+        of = self.of
         if isinstance(g, Binary):
-            (left, first), (right, then) = out[id(g.left)], out[id(g.right)]
-            names = first + tuple(v for v in then if v not in first)
+            (left, first, _), (right, then, _) = of[id(g.left)], of[id(g.right)]
+            names = first if then == first else tuple(
+                dict.fromkeys(first + then))
             key = (type(g), left, right, *map(names.index, then))
         elif isinstance(g, Binder):
-            shape, free = out[id(g.body)]
-            names = tuple(v for v in free if v != g.var)
+            shape, free, _ = of[id(g.body)]
+            names = tuple(filter(g.var.__ne__, free))
             key = (type(g), shape, free.index(g.var) if g.var in free else -1)
         elif isinstance(g, Not):
-            shape, names = out[id(g.body)]
+            shape, names, _ = of[id(g.body)]
             key = (Not, shape)
         else:
-            terms = terms_of(g)
-            names = tuple(dict.fromkeys(
-                t.name for t in terms if isinstance(t, Variable)))
-            key = (type(g), *(names.index(t.name) if isinstance(t, Variable)
-                              else t for t in terms))
-        n = len(interned)
-        shape = interned.setdefault(key, n)
+            key, names = [type(g)], ()
+            for t in terms_of(g):
+                if isinstance(t, Variable):
+                    if t.name not in names:
+                        names += (t.name,)
+                    t = names.index(t.name)
+                key.append(t)
+            key = tuple(key)
+        n = len(self.interned)
+        shape = self.interned.setdefault(key, n)
         if shape < n:
-            repeated.add(shape)
-        out[id(g)] = shape, names
-    return out, repeated
+            self.repeated.add(shape)
+        of[id(g)] = shape, names, g
+        return g
 
 
-def _miniscope(f: Formula) -> Formula:
-    """Push every set quantifier as far in as it distributes: a universal
-    over the conjuncts of its body (through an implication's consequent
-    too), an existential over the disjuncts.  Sound for every model size:
-    even n = 0 has one subset to range over, so a quantifier left without
-    its variable in a conjunct still means its body."""
-    if isinstance(f, Binder) and f.over_sets:
-        pieces, join = (_disjuncts, disj) if f.exists else (_conjuncts, conj)
-        return join([type(f)(f.var, g) for g in pieces(_miniscope(f.body))])
-    kids = subformulas(f)
-    if kids:
-        return rebuild(f, tuple(_miniscope(k) for k in kids))
-    return f
+def _miniscope(f: Formula, shapes: _Shapes | None = None) -> Formula:
+    """Move set quantifiers inward.  An existential distributes over the
+    disjuncts of its body and a universal over the conjuncts (through an
+    implication's consequent too).  Each piece is then split into links,
+    an existential's along its And chain and a universal's along its Or
+    chain, where A -> B reads as ~A | B and each conjunct of A is a link.
+    The links that do not mention the variable move outside the binder:
+    ex2 X. (P & Q(X)) becomes P & ex2 X. Q(X), and all2 X. (A -> B(X))
+    becomes A -> all2 X. B(X).  Beside an antecedent that mentions the
+    variable the consequent stays whole, so a guard keeps what it guards:
+    all2 X. (at(X) -> P) stays as it is.  A binder whose links all leave
+    is dropped, which is sound at every model size: even n = 0 has one
+    subset to range over.  Every node of the result, and every node built
+    on the way, is added to shapes as it is built, so each link's free
+    variables are read there, not walked again."""
+    shapes = _Shapes() if shapes is None else shapes
+    add, of = shapes.add, shapes.of
+
+    def make(cls, *fields) -> Formula:
+        return add(cls(*fields))
+
+    def join(cls, parts: list[Formula]) -> Formula:
+        g = parts[0]
+        for h in parts[1:]:
+            g = make(cls, g, h)
+        return g
+
+    def conjuncts(g: Formula) -> list[Formula]:
+        if isinstance(g, And):
+            return conjuncts(g.left) + conjuncts(g.right)
+        if isinstance(g, Implies):
+            parts = conjuncts(g.right)
+            if len(parts) > 1:
+                return [make(Implies, g.left, h) for h in parts]
+        return [g]
+
+    def bind(g: Binder, body: Formula) -> Formula:
+        link = And if g.exists else Or
+        pieces = []
+        for p in _chain(body, Or) if g.exists else conjuncts(body):
+            ants: list[Formula] = []
+            alts = _chain(p, link, None if g.exists else ants)
+            ants_in, ants_out, alts_in, alts_out = [], [], [], []
+            for h in ants:
+                (ants_in if g.var in of[id(h)][1] else ants_out).append(h)
+            for h in alts:
+                # beside an antecedent that mentions the variable, the
+                # consequent stays whole
+                (alts_in if ants_in or g.var in of[id(h)][1]
+                 else alts_out).append(h)
+            if not ants_out and not alts_out:
+                pieces.append(add(g) if p is g.body
+                              else make(type(g), g.var, p))
+            elif not ants_in and not alts_in:
+                pieces.append(p)
+            else:
+                # a chain ends in a link that is no antecedent
+                inner = join(link, alts_in)
+                if ants_in:
+                    inner = make(Implies, join(And, ants_in), inner)
+                h = join(link, alts_out + [make(type(g), g.var, inner)])
+                pieces.append(make(Implies, join(And, ants_out), h)
+                              if ants_out else h)
+        return join(Or if g.exists else And, pieces)
+
+    def scope(g: Formula) -> Formula:
+        kids = subformulas(g)
+        if not kids:
+            return add(g)
+        new = tuple(map(scope, kids))
+        if isinstance(g, Binder) and g.over_sets:
+            return bind(g, new[0])
+        return add(g if all(map(is_, new, kids)) else rebuild(g, new))
+
+    return scope(f)
 
 
-def _conjuncts(f: Formula) -> list[Formula]:
-    if isinstance(f, And):
-        return _conjuncts(f.left) + _conjuncts(f.right)
-    if isinstance(f, Implies):
-        return [Implies(f.left, g) for g in _conjuncts(f.right)]
-    return [f]
-
-
-def _disjuncts(f: Formula) -> list[Formula]:
-    if isinstance(f, Or):
-        return _disjuncts(f.left) + _disjuncts(f.right)
-    return [f]
-
+def _chain(f: Formula, link: type, ants: list | None = None) -> list[Formula]:
+    """The links of f's chain of link nodes (And or Or), left to right.
+    Given a list ants, an implication A -> B in an Or chain is read as
+    ~A | B: the conjuncts of A go to ants and the chain goes on in B."""
+    links, stack = [], [f]
+    while stack:
+        g = stack.pop()
+        if type(g) is link:
+            stack += (g.right, g.left)
+        elif ants is not None and type(g) is Implies:
+            ants += _chain(g.left, And)
+            stack.append(g.right)
+        else:
+            links.append(g)
+    return links

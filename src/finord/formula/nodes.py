@@ -30,7 +30,8 @@ atom-sorted element and a set-sorted container.  The engines read these
 bases and attributes rather than listing classes.
 
 Every formula node stores its hash when built; ``==``, ``repr`` and
-``pickle`` walk an explicit stack, so none of these recurses.
+``pickle`` walk an explicit stack, so none of these recurses, and ``==``
+compares a pair of shared children once, not once per path to them.
 ``summary`` is the one walk over a whole formula, without recursion: its
 free variables, names, leftover sugar and nestings.  ``free_vars``,
 ``all_identifiers``, ``is_sentence`` and ``sugar.is_desugared`` read it,
@@ -134,11 +135,13 @@ class Formula:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Formula):
             return NotImplemented
-        stack = [(self, other)]
+        # a pair of shared children is compared once, not once per path
+        stack, seen = [(self, other)], set()
         while stack:
             a, b = stack.pop()
-            if a is b:
+            if a is b or (id(a), id(b)) in seen:
                 continue
+            seen.add((id(a), id(b)))
             if type(a) is not type(b) or a._hash != b._hash:
                 return False
             for x, y in zip(a._fields(), b._fields()):

@@ -10,14 +10,15 @@ an atom variable, 2^n for a set variable).  Every run of same-kind binders
 of one sort is one join.  A set block's body is split into parts along its
 And chain (Or chain under all2) and, for several variables, through what
 distributes over that chain; a variable gets its axis when the first part
-that reads it runs, and when few cells survive a part they are compacted
-onto one axis of rows shared by the variables bound so far.  An atom
-block's body is one part; when its table would exceed _SLICE_CELLS, its
-trailing variables are bound one atom at a time until the answer is
-settled, so that no table widens by n.  ``nodes.summary``, one walk
-without recursion, gives the nestings the limits check on entry, the free
-variables and nestings by which a set block orders its parts, and the
-free variables of an atom block's body when its slice estimate needs them.
+that reads it runs, a set variable that no part reads gets none, and when
+few cells survive a part they are compacted onto one axis of rows shared by
+the variables bound so far.  An atom block's body is one part; when its
+table would exceed _SLICE_CELLS, its trailing variables are bound one atom
+at a time until the answer is settled, so that no table widens by n.
+``nodes.summary``, one walk without recursion, gives the nestings the
+limits check on entry, the free variables and nestings by which a set block
+orders its parts, and the free variables of an atom block's body when its
+slice estimate needs them.
 Costs are exponential and guarded by explicit limits: the nesting of
 formulas, of set quantifiers and of binders (at most 32, each opening at
 most one numpy axis), and the cells of every table, rows included.
@@ -214,7 +215,10 @@ class _Evaluator:
         set-binder and binder nesting, so that cheap parts thin the rows
         first.  An atom block's body is one part.  A body of one part is
         not walked: it is taken to read every variable, which costs
-        nothing, since an axis it does not read keeps size 1."""
+        nothing, since an axis it does not read keeps size 1.  Of several
+        parts, a set variable that none reads is dropped: its binder is
+        vacuous, as 2^n >= 1 sets are there to pick.  An atom block keeps
+        every variable, since at n = 0 there is no atom to pick."""
         names, body = [], f
         while (isinstance(body, Binder) and body.over_sets == f.over_sets
                and body.exists == f.exists and body.var not in names):
@@ -225,9 +229,12 @@ class _Evaluator:
             parts = self._split(body, f.exists, len(names) > 1)
         if len(parts) == 1:
             return names, [(len(names) - 1, body)]
+        summaries = [summary(g) for g in parts]
+        if f.over_sets:
+            read = frozenset().union(*(s.free for s in summaries))
+            names = [v for v in names if v in read]
         keyed = []
-        for g in parts:
-            s = summary(g)
+        for g, s in zip(parts, summaries):
             level = max([i for i, v in enumerate(names) if v in s.free],
                         default=-1)
             keyed.append((level, s.set_nesting, s.binder_nesting, len(keyed),

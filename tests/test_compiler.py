@@ -297,6 +297,55 @@ def test_miniscope_spectrum_at_zero():
             assert want.member(n) == evaluate(FiniteModel(n), f, {})
 
 
+def test_miniscope_moves_unrelated_parts_out():
+    # an existential's conjuncts, a universal's disjuncts and antecedents
+    # that do not mention the variable move outside its binder; beside an
+    # antecedent that mentions it the consequent stays whole, and a binder
+    # whose links all leave is dropped
+    cases = [
+        ("ex2 X. at(X) & Y sub Z & Y sub X",
+         "Y sub Z & (ex2 X. at(X) & Y sub X)"),
+        ("all2 X. Y = bot | X sub Y | at(Z)",
+         "Y = bot | at(Z) | (all2 X. X sub Y)"),
+        ("all2 X. at(Y) & Y sub Z -> X sub Y | at(Z)",
+         "at(Y) & Y sub Z -> at(Z) | (all2 X. X sub Y)"),
+        ("all2 X. at(X) & at(Y) -> X sub Y | at(Z)",
+         "at(Y) -> (all2 X. at(X) -> X sub Y | at(Z))"),
+        ("ex2 X. Y sub Z & at(Y)", "Y sub Z & at(Y)"),
+        ("all2 X. at(Y) -> at(Z)", "at(Y) -> at(Z)"),
+        # ex1 x. ex1 w. x sub Z & Y(w), desugared: each binder keeps its own
+        ("ex2 X. at(X) & (ex2 W. at(W) & X sub Z & Y sub W)",
+         "(ex2 W. at(W) & Y sub W) & (ex2 X. at(X) & X sub Z)"),
+    ]
+    for text, want in cases:
+        f = parse(text)
+        g = _miniscope(f)
+        assert g == parse(want), text
+        a = compile(f)
+        assert a == _unscoped(f), text
+        for n in range(4):
+            for word in _all_words(a.width, n):
+                size, env = _word_env(word, a.tracks)
+                m = FiniteModel(size)
+                assert (a.accepts(word) == evaluate(m, f, env)
+                        == evaluate(m, g, env)), (text, word)
+
+
+def test_miniscope_keeps_rho_automata_small(monkeypatch):
+    # each part of rho(8, 1) leaves the binders of the parts it does not
+    # name, so no automaton built on the way has more than 112 states,
+    # against 512 when every part stays under all eight binders
+    sizes = []
+    explore = automata._explore
+    monkeypatch.setattr(automata, "_explore", lambda *args: (
+        lambda out: sizes.append(len(out[0])) or out)(explore(*args)))
+    clear_caches()
+    s = spectrum(build_rho(8, 1))
+    clear_caches()
+    assert max(sizes) <= 256
+    assert [n for n in range(40) if s.member(n)] == [9, 17, 25, 33]
+
+
 def _renamed(f, names):
     """f with X, Y and Z renamed by the map names, binders included."""
     return parse(re.sub(r"\b[XYZ]\b", lambda m: names[m.group()],

@@ -142,6 +142,24 @@ def test_formulas_pickle_across_processes():
     assert f == parse(text) and hash(f) == hash(parse(text))
 
 
+def _shared_chain(levels):
+    """levels nodes d = And(d, d): 2^levels paths to the leaf."""
+    d = Eq(SetVar("X"), Bot())
+    for _ in range(levels):
+        d = And(d, d)
+    return d
+
+
+def test_equality_compares_shared_children_once():
+    # two chains built apart share no node with each other, and a pickled
+    # one comes back with its sharing; either way == meets each pair once
+    f, g = _shared_chain(60), _shared_chain(60)
+    assert f is not g and f == g
+    copy = pickle.loads(pickle.dumps(f))
+    assert copy is not f and copy == f and hash(copy) == hash(f)
+    assert copy != _shared_chain(59)
+
+
 def test_repr_writes_the_dataclass_text():
     x = SetVar("X")
     f = And(TRUE, Not(ExistsSet("X", Or(Eq(x, Bot()),

@@ -347,6 +347,19 @@ def test_join_keeps_vacuous_binders():
             assert evaluate(m, f) == slow_evaluate(m, f), (n, text)
 
 
+def test_join_gives_an_unread_set_variable_no_axis(monkeypatch):
+    # B sits between the two variables the parts read; at size 0 there is
+    # still one set for it, so its binder changes nothing, under ex2 and
+    # under all2
+    cases = [parse("ex2 A. ex2 B. ex2 C. A = C & A sub C"),
+             parse("all2 A. all2 B. all2 C. ~A = C | C sub A")]
+    for f in cases:
+        names, _ = finord.model._Evaluator(FiniteModel(2), 1 << 30)._plan(f)
+        assert names == ["A", "C"]
+        for n in range(4):
+            _check_join(monkeypatch, FiniteModel(n), f)
+
+
 def test_join_splits_only_what_distributes():
     # all1 distributes over a conjunction and ex1 over a disjunction, but
     # not the other way round, and an implication only on its right side
