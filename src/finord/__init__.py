@@ -7,6 +7,8 @@ pebble-free back-and-forth games, and residue-style limit points that
 complete the finite models.
 """
 
+from types import ModuleType as _Module
+
 from .automata import (DEFAULT_STATE_CAP, Dfa, combine, complement, concat,
                        cylindrify, effective_state_cap, equivalent,
                        lasso_spectrum, minimize, project, to_dot)
@@ -38,28 +40,6 @@ from .upsets import (NormalFormDescriptor, UPSet, brute_force_oracle,
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_STATE_CAP", "DUPLICATOR", "FALSE", "MAX", "MIN", "SPOILER",
-    "TRUE", "UNDETERMINED", "And", "At", "AtomVar", "Bot", "Dfa", "Eq",
-    "ExistsAtom", "ExistsSet", "Exle", "FalseF", "Fin", "FiniteModel",
-    "ForallAtom", "ForallSet", "Formula", "Iff", "Implies",
-    "Inf", "MaxAtom", "Mem", "MinAtom", "NormalFormDescriptor", "Not", "Or",
-    "ParseError", "ResidueSpec", "ResourceLimitError", "SetVar", "Subset",
-    "Table", "Term", "TrueF", "TypePoint", "UPSet", "Undetermined",
-    "ZeroShift", "atomic_agreement", "base_automaton", "base_axioms",
-    "brute_force_oracle", "build_comp", "build_psi", "build_rho",
-    "build_sum", "canonical_iso_check", "clear_caches",
-    "combine", "comp_samples", "compile", "complement", "concat", "conj",
-    "crt_solve", "cylindrify", "desugar", "disj", "ef_equiv", "ef_winner",
-    "effective_state_cap", "equivalent", "evaluate", "format_formula",
-    "format_point", "format_upset", "free_set_vars", "free_vars",
-    "from_normal_form", "induction_samples", "is_desugared", "is_sentence",
-    "lasso_spectrum", "minimize", "minkowski_sum",
-    "minkowski_validity_bound", "parse", "parse_point", "parse_upset",
-    "point_models", "point_mul", "product", "project",
-    "pseudofinite_valid", "reconstruct", "relativize",
-    "rep", "residue_extend", "same_set", "satisfiable_witness",
-    "slow_evaluate", "spectrum", "succ_formula", "to_dot", "to_normal_form",
-    "unary_dfa",
-    "validate",
-]
+# every name imported above, and no submodule
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _Module)]

@@ -5,11 +5,11 @@ subset of its positions per track: letter bit j (value ``(letter >> j) & 1``)
 says whether position i belongs to the set named ``tracks[j]``.  Boolean
 combinations, track projection, minimization, equivalence, unary
 concatenation (a projection of split words), and lasso extraction are
-provided; every operation returns a complete automaton and respects a
-configurable state cap.  One breadth-first discovery loop, ``_explore``,
-builds every automaton: the product, the subset construction, the
-canonical renumbering after minimization and renaming, and the lasso
-walk.  One step, ``_fact_step``, reads the atomic facts of sets along a
+provided; every operation returns a complete automaton, and every
+construction respects the one state cap, ``effective_state_cap``.  One
+breadth-first discovery loop, ``_explore``, builds every automaton: the
+product, the subset construction, the canonical renumbering after
+minimization and renaming, and the lasso walk.  One step, ``_fact_step``, reads the atomic facts of sets along a
 word for the compiler's atomic automata and the game's type machines.
 """
 
@@ -28,7 +28,8 @@ STATE_CAP_ENV = "FINORD_STATE_CAP"
 
 
 def effective_state_cap(cap: int | None = None) -> int:
-    """An explicit cap, else the environment override, else the default."""
+    """The state cap of every automaton construction: an explicit cap (its
+    caller's reading), else the environment override, else the default."""
     if cap is not None:
         return cap
     raw = os.environ.get(STATE_CAP_ENV)
@@ -283,7 +284,7 @@ def equivalent(a: Dfa, b: Dfa) -> bool:
     return both.n_states == 1 and 0 in both.accepting
 
 
-def concat(a: Dfa, b: Dfa, *, cap: int | None = None) -> Dfa:
+def concat(a: Dfa, b: Dfa) -> Dfa:
     """Concatenation of two sentence (zero-track) languages; on unary
     alphabets this realizes addition of accepted lengths.  One automaton
     over a track "T" accepts the splits 1^x 0^y with x accepted by a and y
@@ -302,7 +303,7 @@ def concat(a: Dfa, b: Dfa, *, cap: int | None = None) -> Dfa:
     accepting = {na + t for t in b.accepting}
     if b.initial in b.accepting:
         accepting |= a.accepting
-    return project(Dfa(("T",), rows, accepting, a.initial), "T", cap=cap)
+    return project(Dfa(("T",), rows, accepting, a.initial), "T")
 
 
 def lasso_spectrum(a: Dfa) -> UPSet:

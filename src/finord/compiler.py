@@ -28,12 +28,11 @@ from functools import cache, lru_cache
 from operator import is_
 
 from . import automata as au
-from .automata import DEFAULT_STATE_CAP, Dfa, effective_state_cap
-from .formula.nodes import (_MAX_DESUGARED_DEPTH, And, At, Binary, Binder,
-                            Exle, FalseF, Formula, Iff, Implies, Not, Or,
-                            Relation, SetVar, Subset, TrueF, Variable,
-                            _check_nesting, rebuild, subformulas, summary,
-                            terms_of)
+from .automata import Dfa, effective_state_cap
+from .formula.nodes import (And, At, Binary, Binder, Exle, FalseF, Formula,
+                            Iff, Implies, Not, Or, Relation, SetVar, Subset,
+                            TrueF, Variable, _check_nesting, rebuild,
+                            subformulas, summary, terms_of)
 from .formula.sugar import desugar
 from .upsets import UPSet
 
@@ -68,7 +67,7 @@ def _shape_automaton(kind: type, positions: tuple) -> Dfa:
     states, rows = au._explore(
         au._fact_start(width + 1),
         lambda q: [au._fact_step(q, a) for a in range(1 << width)],
-        DEFAULT_STATE_CAP, ("atomic automaton", kind.__name__))
+        effective_state_cap(), ("atomic automaton", kind.__name__))
     holds = [pops[x] == 1 if kind is At else exle[x][y] if kind is Exle
              else sub[x][y] and (kind is Subset or sub[y][x])
              for pops, sub, exle in states]
@@ -77,15 +76,15 @@ def _shape_automaton(kind: type, positions: tuple) -> Dfa:
                frozenset(i for i, s in enumerate(reps) if holds[s]))
 
 
-def compile(f: Formula, *, cap: int | None = None) -> Dfa:
+def compile(f: Formula) -> Dfa:
     """Automaton whose words over the free variables' tracks are exactly
     the satisfying assignments; requires a desugared input, nested no
     deeper than what ``desugar`` makes of parsed text."""
     s = summary(f)
     if s.sugared:
         raise ValueError("compile requires a desugared formula")
-    _check_nesting("formula", s.depth, _MAX_DESUGARED_DEPTH)
-    return _compiled(f, effective_state_cap(cap))
+    _check_nesting("formula", s.depth)
+    return _compiled(f, effective_state_cap())
 
 
 def spectrum(f: Formula) -> UPSet:

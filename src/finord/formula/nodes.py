@@ -35,11 +35,9 @@ compares a pair of shared children once, not once per path to them.
 ``summary`` is the one walk over a whole formula, without recursion: its
 free variables, names, leftover sugar and nestings.  ``free_vars``,
 ``all_identifiers``, ``is_sentence`` and ``sugar.is_desugared`` read it,
-and the entry points that recurse over a formula read its depth first,
-refusing one nested past the parser's limit (``_MAX_DEPTH``), or for those
-that take or make desugared formulas past what desugaring makes of parsed
-text (``_MAX_DESUGARED_DEPTH``), with ``ResourceLimitError``, the one
-exception for every exceeded budget.
+and every pass that recurses over a formula reads its depth first,
+refusing one nested past ``_MAX_NESTING`` with ``ResourceLimitError``, the
+one exception for every exceeded budget.
 """
 
 from __future__ import annotations
@@ -357,26 +355,21 @@ def fresh_names(used):
             yield cand
 
 
-# Deep enough for the largest builder output the benchmark parses
-# (``build_psi("eq", 40)`` prints 123 levels deep), shallow enough that
-# desugaring, compiling and evaluating what parses stays within Python's
-# default recursion limit.
-_MAX_DEPTH = 150
-# The deepest formula ``desugar`` makes of parsed text: each of 150 atom
-# binders takes two levels, and the min and max witnesses of the innermost
-# atomic formula eight more (``ex1 x0 ... x149. min << max``).  ``compile``,
-# ``relativize``, ``format_formula`` and ``slow_evaluate``, which take
-# desugared formulas and recurse, refuse deeper ones; ``desugar`` too.
-_MAX_DESUGARED_DEPTH = 2 * _MAX_DEPTH + 8
+# The nesting every pass that recurses over a formula holds, within
+# Python's default recursion limit even when called 200 frames deep.  The
+# parser's limit is derived from it, so that what ``desugar`` makes of
+# parsed text, two levels per atom binder and eight for the min and max
+# witnesses of the innermost atomic formula, fits: ``ex1 x0 ... x149.
+# min << max`` desugars exactly this deep.
+_MAX_NESTING = 308
 
 
 class ResourceLimitError(RuntimeError):
     """An evaluation or construction exceeded its configured budget."""
 
 
-def _check_nesting(what: str, nesting: int, limit: int = _MAX_DEPTH) -> None:
-    """Refuse a nesting past its limit, by default the parser's limit on
-    a formula's depth."""
+def _check_nesting(what: str, nesting: int, limit: int = _MAX_NESTING) -> None:
+    """Refuse a nesting past its limit, by default ``_MAX_NESTING``."""
     if nesting > limit:
         raise ResourceLimitError(
             f"{what} nesting {nesting} exceeds limit {limit}")

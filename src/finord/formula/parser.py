@@ -25,8 +25,12 @@ from dataclasses import dataclass
 from .nodes import (AtomVar, BOT, Eq, Exle, ExistsAtom, ExistsSet, FALSE,
                     ForallAtom, ForallSet, Formula, And, At, Iff, Implies,
                     MAX, MIN, Mem, Not, Or, SetVar, Subset, Term, TRUE,
-                    _IDENTIFIER, _MAX_DEPTH, _MAX_DESUGARED_DEPTH, _RESERVED,
-                    _check_nesting, _name_sort, summary)
+                    _IDENTIFIER, _MAX_NESTING, _RESERVED, _check_nesting,
+                    _name_sort, summary)
+
+# The limit on text: what ``desugar`` makes of it, two levels per atom
+# binder and eight for min and max, stays within what every pass holds.
+_MAX_DEPTH = (_MAX_NESTING - 8) // 2
 
 # Binary connectives, loosest first: (token, node, right-associative).
 # Entry i binds at level i + 1; level 0 is a quantifier body or the whole
@@ -213,7 +217,7 @@ _RELATION_TEXT = {node: tok for tok, node in reversed(_RELATIONS.items())}
 
 
 def format_formula(f: Formula) -> str:
-    _check_nesting("formula", summary(f).depth, _MAX_DESUGARED_DEPTH)
+    _check_nesting("formula", summary(f).depth)
     return _fmt(f, 0)
 
 

@@ -14,10 +14,10 @@ binders inside its body.
 
 from __future__ import annotations
 
-from .nodes import (_MAX_DESUGARED_DEPTH, And, At, AtomVar, Binder, Exle,
-                    ExistsSet, ForallSet, Formula, Implies, MAX, MIN, Mem, Not,
-                    SetVar, Subset, Term, _check_nesting, fresh_names, rebuild,
-                    subformulas, summary, terms_of)
+from .nodes import (And, At, AtomVar, Binder, Exle, ExistsSet, ForallSet,
+                    Formula, Implies, MAX, MIN, Mem, Not, SetVar, Subset, Term,
+                    _check_nesting, fresh_names, rebuild, subformulas, summary,
+                    terms_of)
 
 
 def is_desugared(f: Formula) -> bool:
@@ -29,8 +29,7 @@ def desugar(f: Formula) -> Formula:
     most eight, so f is refused with ResourceLimitError when depth + binder
     nesting + 8 exceeds what desugaring makes of parsed text."""
     s = summary(f)
-    _check_nesting("desugared formula", s.depth + s.binder_nesting + 8,
-                   _MAX_DESUGARED_DEPTH)
+    _check_nesting("desugared formula", s.depth + s.binder_nesting + 8)
     return _desugar(f, fresh_names(s.names), {})
 
 
@@ -74,7 +73,7 @@ def relativize(f: Formula, var: str) -> Formula:
         raise ValueError("relativization needs a sentence")
     if s.sugared:
         raise ValueError("relativization needs desugared input")
-    _check_nesting("formula", s.depth, _MAX_DESUGARED_DEPTH)
+    _check_nesting("formula", s.depth)
     return _rel(f, SetVar(var))
 
 

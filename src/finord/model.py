@@ -20,8 +20,8 @@ limits check on entry, the free variables and nestings by which a set block
 orders its parts, and the free variables of an atom block's body when its
 slice estimate needs them.
 Costs are exponential and guarded by explicit limits: the nesting of
-formulas, of set quantifiers and of binders (at most 32, each opening at
-most one numpy axis), and the cells of every table, rows included.
+formulas (308, as in every pass), of set quantifiers and of binders (at
+most 32, one numpy axis each), and the cells of every table, rows included.
 
 ``slow_evaluate`` is the same semantics as direct recursion over any finite
 structure object; it exists to cross-check ``evaluate`` and to interpret
@@ -40,8 +40,8 @@ import numpy as np
 from .formula.nodes import (And, At, Binder, Bot, Eq, Exle, FalseF, Formula,
                             Iff, Implies, MaxAtom, MinAtom, Not, Or,
                             ResourceLimitError, Term, TrueF, Variable,
-                            _MAX_DESUGARED_DEPTH, _check_nesting, _name_sort,
-                            rebuild, summary, terms_of)
+                            _check_nesting, _name_sort, rebuild, summary,
+                            terms_of)
 
 DEFAULT_MAX_N = 10
 DEFAULT_MAX_SET_DEPTH = 4
@@ -448,7 +448,7 @@ def slow_evaluate(struct, f: Formula, env: dict | None = None) -> bool:
     """Reference recursion: quantifiers loop over the structure's universe
     or atoms with short-circuiting.  Usable with FiniteModel and
     ProductStructure alike."""
-    _check_nesting("formula", summary(f).depth, _MAX_DESUGARED_DEPTH)
+    _check_nesting("formula", summary(f).depth)
     env = dict(env or {})
     return _slow(struct, f, env)
 

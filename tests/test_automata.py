@@ -4,9 +4,11 @@ import random
 
 import pytest
 
-from finord import (Dfa, ResourceLimitError, UPSet, combine, complement,
-                    concat, cylindrify, equivalent, lasso_spectrum, minimize,
+from finord import (Dfa, FiniteModel, ResourceLimitError, UPSet,
+                    base_automaton, combine, complement, concat, cylindrify,
+                    ef_winner, equivalent, lasso_spectrum, minimize, parse,
                     project, to_dot, unary_dfa)
+from finord import compiler, efgame
 from finord.automata import _cube_cover
 
 
@@ -260,14 +262,15 @@ def test_concat_adds_lengths():
         concat(all_x(), unary_dfa(UPSet.naturals()))
 
 
-def test_state_cap():
+def test_state_cap(monkeypatch):
     with pytest.raises(ResourceLimitError):
         combine(all_x(), some_x(), "and", cap=1)
     with pytest.raises(ResourceLimitError):
         project(all_x(), "X", cap=1)
-    with pytest.raises(ResourceLimitError):
-        concat(unary_dfa(UPSet(2, 1, {0}, {0})), unary_dfa(UPSet.naturals()),
-               cap=1)
+    # concat takes no cap of its own: its projection reads the one cap
+    monkeypatch.setenv("FINORD_STATE_CAP", "1")
+    with pytest.raises(ResourceLimitError, match="projection"):
+        concat(unary_dfa(UPSet(2, 1, {0}, {0})), unary_dfa(UPSet.naturals()))
 
 
 def test_state_cap_message_names_stage_and_width():
@@ -285,6 +288,18 @@ def test_state_cap_env_override(monkeypatch):
     monkeypatch.setenv("FINORD_STATE_CAP", "zero")
     with pytest.raises(ValueError):
         combine(all_x(), some_x(), "and")
+
+
+def test_one_state_cap_binds_every_construction(monkeypatch):
+    # atomic automata and the games' type machines read the cap that
+    # products and projections read; their caches hold earlier builds
+    monkeypatch.setenv("FINORD_STATE_CAP", "1")
+    compiler._shape_automaton.cache_clear()
+    efgame._machine.cache_clear()
+    with pytest.raises(ResourceLimitError, match="atomic automaton"):
+        base_automaton(parse("X sub Y"))
+    with pytest.raises(ResourceLimitError, match="type machine"):
+        ef_winner(FiniteModel(3), FiniteModel(4), 2)
 
 
 def test_to_dot_shape():

@@ -227,9 +227,10 @@ def test_sum_of_deep_counting_sentences():
     clear_caches()
 
 
-def test_compile_cap():
+def test_compile_cap(monkeypatch):
+    monkeypatch.setenv("FINORD_STATE_CAP", "2")
     with pytest.raises(ResourceLimitError):
-        compile(desugar(build_rho(4, 1)), cap=2)
+        compile(desugar(build_rho(4, 1)))
     clear_caches()
 
 

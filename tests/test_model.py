@@ -8,8 +8,9 @@ import pytest
 
 from corpus import CORPUS, _random_sentence
 import finord.model
-from finord import (TRUE, ExistsAtom, ExistsSet, Fin, FiniteModel,
-                    ForallAtom, ForallSet, Implies, Not, ResourceLimitError,
+from finord import (TRUE, At, AtomVar, Eq, ExistsAtom, ExistsSet, Exle, Fin,
+                    FiniteModel, ForallAtom, ForallSet, Implies, Not,
+                    ResourceLimitError, SetVar, Subset,
                     build_psi, build_rho, build_sum, canonical_iso_check,
                     clear_caches, compile, conj, desugar, disj, evaluate,
                     format_formula, free_set_vars, free_vars, is_desugared,
@@ -161,15 +162,17 @@ def test_open_binder_limit():
 
 
 def test_deep_formulas_are_refused_without_recursion():
-    # built in code, past the parser's nesting limit of 150: the entry
-    # points that recurse over a formula refuse it, and the walk answers
+    # built in code, past the 308 levels every pass holds, or past the 32
+    # binders the evaluator keeps open: the entry points that recurse over
+    # a formula refuse it, and the walk answers
     atom_binders = TRUE
     for i in range(200):
         atom_binders = ExistsAtom(f"x{i}", atom_binders)
     for f, depth in [(conj([TRUE] * 3000), 2999), (_not_chain(3000), 3000),
                      (atom_binders, 200)]:
-        with pytest.raises(ResourceLimitError,
-                           match=f"formula nesting {depth} exceeds limit 150"):
+        refusal = (f"formula nesting {depth} exceeds limit 308" if depth > 308
+                   else "binder nesting 200 exceeds limit 32")
+        with pytest.raises(ResourceLimitError, match=refusal):
             evaluate(FiniteModel(2), f)
         # desugaring refuses what it would nest past 308 levels, bounded
         # by depth + binder nesting + 8
@@ -243,8 +246,35 @@ def test_every_formula_entry_point_ends_on_deep_input():
             call()
 
 
-def _not_chain(k):
-    f = TRUE
+def test_evaluate_holds_what_every_pass_holds():
+    # built in code between the parser's 150 levels and the 308 every pass
+    # holds, and called from 200 frames down, evaluate answers as
+    # slow_evaluate does
+    X, Y = SetVar("X"), SetVar("Y")
+    x, y = AtomVar("x1"), AtomVar("x32")
+    sets = conj([Not(Subset(Y, X)), Subset(X, Y), At(X), Exle(X, Y)] * 75)
+    atoms = conj([Not(Exle(y, x)), Exle(x, y), Not(Eq(x, y))] * 90)
+    for i in range(32, 0, -1):
+        atoms = ExistsAtom(f"x{i}", atoms)
+    # the two blocks hold from two atoms on, the odd negation chain below
+    cases = [(ExistsSet("X", ExistsSet("Y", sets)), 302, 2, True),
+             (_not_chain(307, parse("min << max")), 307, 0, False),
+             (atoms, 302, 32, True)]
+
+    def nested(k, call):
+        return call() if k == 0 else nested(k - 1, call)
+
+    for f, depth, binders, from_two in cases:
+        s = summary(f)
+        assert (s.depth, s.binder_nesting) == (depth, binders)
+        for n in range(4):
+            m = FiniteModel(n)
+            want = nested(200, lambda: slow_evaluate(m, f))
+            assert want == ((n >= 2) == from_two)
+            assert nested(200, lambda: evaluate(m, f)) == want
+
+
+def _not_chain(k, f=TRUE):
     for _ in range(k):
         f = Not(f)
     return f
