@@ -5,18 +5,24 @@ subset of its positions per track: letter bit j (value ``(letter >> j) & 1``)
 says whether position i belongs to the set named ``tracks[j]``.  Boolean
 combinations, track projection, minimization, equivalence, unary
 concatenation (a projection of split words), and lasso extraction are
-provided; every operation returns a complete automaton, and every
-construction respects the one state cap, ``effective_state_cap``.  One
-breadth-first discovery loop, ``_explore``, builds every automaton: the
-product, the subset construction, the canonical renumbering after
-minimization and renaming, and the lasso walk.  One step, ``_fact_step``, reads the atomic facts of sets along a
-word for the compiler's atomic automata and the game's type machines.
+provided; every operation returns a complete automaton.  One breadth-first
+discovery loop, ``_explore``, builds every automaton: the product, the
+subset construction, the canonical renumbering after minimization and
+renaming, and the lasso walk.  It alone reads the state cap,
+``effective_state_cap()``: ``FINORD_STATE_CAP`` if set, else the default,
+read at first use and again after ``compiler.clear_caches()``.  The cap
+bounds what a call builds, hand-built operands included; memoized answers
+(spectra, compiled automata, atomic shapes, type machines) stand whatever
+the cap, and refusals are never memoized.  One step, ``_fact_step``, reads
+the atomic facts of sets along a word for the compiler's atomic automata
+and the game's type machines.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cache
 from itertools import filterfalse
 from operator import add, and_, eq, le, or_
 
@@ -27,21 +33,17 @@ DEFAULT_STATE_CAP = 10 ** 5
 STATE_CAP_ENV = "FINORD_STATE_CAP"
 
 
-def effective_state_cap(cap: int | None = None) -> int:
-    """The state cap of every automaton construction: an explicit cap (its
-    caller's reading), else the environment override, else the default."""
-    if cap is not None:
-        return cap
-    raw = os.environ.get(STATE_CAP_ENV)
-    if raw is not None:
-        try:
-            value = int(raw)
-        except ValueError as exc:
-            raise ValueError(f"{STATE_CAP_ENV} must be an integer") from exc
-        if value < 1:
-            raise ValueError(f"{STATE_CAP_ENV} must be positive")
-        return value
-    return DEFAULT_STATE_CAP
+@cache
+def effective_state_cap() -> int:
+    """The state cap of every automaton construction: the environment
+    override, else the default."""
+    try:
+        value = int(os.environ.get(STATE_CAP_ENV, DEFAULT_STATE_CAP))
+    except ValueError as exc:
+        raise ValueError(f"{STATE_CAP_ENV} must be an integer") from exc
+    if value < 1:
+        raise ValueError(f"{STATE_CAP_ENV} must be positive")
+    return value
 
 
 @dataclass(frozen=True)
@@ -113,7 +115,7 @@ def _rename(a: Dfa, names) -> Dfa:
     if positions == sorted(positions):
         return Dfa(tracks, a.transitions, a.accepting, a.initial)
     rows = _read_letters(a.transitions, positions, len(tracks))
-    order, rows = _explore(a.initial, rows.__getitem__, a.n_states,
+    order, rows = _explore(a.initial, rows.__getitem__,
                            ("renaming", f"operand of {a.n_states} states"))
     return Dfa(tracks, rows, frozenset(
         i for i, s in enumerate(order) if s in a.accepting), 0)
@@ -128,11 +130,12 @@ def _read_letters(transitions, positions, width: int) -> tuple:
     return tuple(tuple(map(row.__getitem__, lookup)) for row in transitions)
 
 
-def _explore(start, successors, cap: int, stage: tuple[str, str]):
+def _explore(start, successors, stage: tuple[str, str]):
     """Breadth-first discovery from ``start``, numbering each new state at
     its first occurrence in ascending letter order: (states in discovery
     order, successor rows).  ``stage`` is (name, operands) for the error
-    raised past ``cap`` states."""
+    raised past the state cap."""
+    cap = effective_state_cap()
     index = {start: 0}
     order = [start]
     rows: list[tuple[int, ...]] = []
@@ -170,13 +173,12 @@ def _fact_step(state: tuple, letter: int) -> tuple:
 _OPS = {"and": and_, "or": or_, "implies": le, "iff": eq}
 
 
-def combine(a: Dfa, b: Dfa, op: str, *, cap: int | None = None) -> Dfa:
+def combine(a: Dfa, b: Dfa, op: str) -> Dfa:
     """The Boolean connective op ("and", "or", "implies" or "iff") of two
     languages as one product over the unified track list, minimized."""
     if op not in _OPS:
         raise ValueError('op must be "and", "or", "implies" or "iff"')
     keep = _OPS[op]
-    cap = effective_state_cap(cap)
     tracks = tuple(sorted(set(a.tracks) | set(b.tracks)))
     a2, b2 = cylindrify(a, tracks), cylindrify(b, tracks)
     nb = b2.n_states
@@ -187,7 +189,7 @@ def combine(a: Dfa, b: Dfa, op: str, *, cap: int | None = None) -> Dfa:
         return list(map(add, map(nb.__mul__, a2.transitions[s]),
                         b2.transitions[t]))
 
-    order, rows = _explore(a2.initial * nb + b2.initial, successors, cap, (
+    order, rows = _explore(a2.initial * nb + b2.initial, successors, (
         "product",
         f"operands of {a2.n_states} and {nb} states, {a2.width} tracks"))
     accepting = frozenset(i for i, code in enumerate(order)
@@ -202,14 +204,13 @@ def complement(a: Dfa) -> Dfa:
                frozenset(range(a.n_states)) - a.accepting, a.initial)
 
 
-def project(a: Dfa, track: str, *, cap: int | None = None) -> Dfa:
+def project(a: Dfa, track: str) -> Dfa:
     """Erase one track existentially: accept a word when some assignment of
     the erased bits is accepted; subset construction over state bitmasks,
     then minimized."""
     if track not in a.tracks:
         raise ValueError(f"no track named {track}")
-    order, rows = _subsets(a.transitions, a.initial, a.tracks.index(track),
-                           effective_state_cap(cap), (
+    order, rows = _subsets(a.transitions, a.initial, a.tracks.index(track), (
         "projection", f"operand of {a.n_states} states, {a.width} tracks"))
     acc_mask = sum(1 << s for s in a.accepting)
     accepting = frozenset(i for i, subset in enumerate(order)
@@ -218,7 +219,7 @@ def project(a: Dfa, track: str, *, cap: int | None = None) -> Dfa:
     return minimize(Dfa(rest, tuple(rows), accepting, 0))
 
 
-def _subsets(transitions, initial: int, pos: int, cap: int, stage):
+def _subsets(transitions, initial: int, pos: int, stage):
     """Subset construction erasing letter bit ``pos``: (the state bitmasks
     in discovery order, successor rows)."""
     zeros = [((letter >> pos) << (pos + 1)) | (letter & ((1 << pos) - 1))
@@ -240,7 +241,7 @@ def _subsets(transitions, initial: int, pos: int, cap: int, stage):
             subset ^= low
         return masks
 
-    return _explore(bits[initial], successors, cap, stage)
+    return _explore(bits[initial], successors, stage)
 
 
 def minimize(a: Dfa) -> Dfa:
@@ -272,7 +273,7 @@ def _moore(transitions, initial: int, labels: list):
     def successors(c):
         return list(map(cls.__getitem__, transitions[rep[c]]))
 
-    order, rows = _explore(cls[initial], successors, n, (
+    order, rows = _explore(cls[initial], successors, (
         "minimization", f"operand of {n} states"))
     return list(map(rep.__getitem__, order)), rows
 
@@ -312,7 +313,7 @@ def lasso_spectrum(a: Dfa) -> UPSet:
     gives the finite part, the cycle the residues."""
     if a.width != 0:
         raise ValueError("lasso extraction needs a zero-track automaton")
-    chain, rows = _explore(a.initial, a.transitions.__getitem__, a.n_states,
+    chain, rows = _explore(a.initial, a.transitions.__getitem__,
                            ("lasso", f"operand of {a.n_states} states"))
     tail = rows[-1][0]
     cycle = len(chain) - tail

@@ -5,7 +5,8 @@ per line through ``--file``.  All output is deterministic and line
 terminated; exit status is 0 on success, 1 on domain errors (parse
 failures, non-sentences, resource caps — message on stderr), 2 on usage
 errors.  The environment variable FINORD_STATE_CAP overrides the automata
-state cap.
+state cap; ``automata._explore`` reads it at the first automaton a command
+builds.
 """
 
 from __future__ import annotations

@@ -19,7 +19,8 @@ so each projection works on an automaton with fewer tracks.  That pass
 adds every node it keeps or builds to the shapes, whose free variables
 tell which links move.  For a sentence the result has no tracks, and its
 accepted lengths — extracted from the unary transition lasso — are
-exactly the model sizes satisfying the sentence.
+exactly the model sizes satisfying the sentence.  Only ``automata._explore``
+reads the state cap, so the memos here are keyed by the formula alone.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ def _shape_automaton(kind: type, positions: tuple) -> Dfa:
     states, rows = au._explore(
         au._fact_start(width + 1),
         lambda q: [au._fact_step(q, a) for a in range(1 << width)],
-        effective_state_cap(), ("atomic automaton", kind.__name__))
+        ("atomic automaton", kind.__name__))
     holds = [pops[x] == 1 if kind is At else exle[x][y] if kind is Exle
              else sub[x][y] and (kind is Subset or sub[y][x])
              for pops, sub, exle in states]
@@ -84,7 +85,7 @@ def compile(f: Formula) -> Dfa:
     if s.sugared:
         raise ValueError("compile requires a desugared formula")
     _check_nesting("formula", s.depth)
-    return _compiled(f, effective_state_cap())
+    return _compiled(f)
 
 
 def spectrum(f: Formula) -> UPSet:
@@ -93,7 +94,7 @@ def spectrum(f: Formula) -> UPSet:
     ``desugar`` refuses, uncached, one it could desugar past 308 levels."""
     if summary(f).free:
         raise ValueError("spectrum requires a sentence")
-    return _spectrum(f, effective_state_cap())
+    return _spectrum(f)
 
 
 # Above the distinct sentences any one workload or test run touches.
@@ -101,25 +102,25 @@ _CACHE_SIZE = 4096
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _compiled(f: Formula, cap: int) -> Dfa:
+def _compiled(f: Formula) -> Dfa:
     shapes = _Shapes()
-    return _compile(_miniscope(f, shapes), cap, shapes)
+    return _compile(_miniscope(f, shapes), shapes)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _spectrum(f: Formula, cap: int) -> UPSet:
+def _spectrum(f: Formula) -> UPSet:
     shapes = _Shapes()
-    return au.lasso_spectrum(_compile(_miniscope(desugar(f), shapes), cap,
-                                      shapes))
+    return au.lasso_spectrum(_compile(_miniscope(desugar(f), shapes), shapes))
 
 
 def clear_caches() -> None:
-    """Drop memoized compilation results (for cold timing runs)."""
+    """Drop memoized compilations and spectra, and the state cap's reading."""
     _compiled.cache_clear()
     _spectrum.cache_clear()
+    effective_state_cap.cache_clear()
 
 
-def _compile(f: Formula, cap: int, shapes: _Shapes | None = None) -> Dfa:
+def _compile(f: Formula, shapes: _Shapes | None = None) -> Dfa:
     """The automaton of f, made once per repeated shape within the call;
     shapes, when given, holds f's nodes already."""
     shapes = _Shapes(f) if shapes is None else shapes
@@ -137,14 +138,12 @@ def _compile(f: Formula, cap: int, shapes: _Shapes | None = None) -> Dfa:
         if isinstance(g, Not):
             a = au.complement(walk(g.body))
         elif type(g) in _CONNECTIVES:
-            a = au.combine(walk(g.left), walk(g.right),
-                           _CONNECTIVES[type(g)], cap=cap)
+            a = au.combine(walk(g.left), walk(g.right), _CONNECTIVES[type(g)])
         elif isinstance(g, Binder) and g.over_sets:
             # ∀ is the complement of ∃ over the complement
             a = walk(g.body)
             if g.var in a.tracks:
-                a = au.project(a if g.exists else au.complement(a), g.var,
-                               cap=cap)
+                a = au.project(a if g.exists else au.complement(a), g.var)
                 a = a if g.exists else au.complement(a)
         else:
             raise ValueError(f"cannot compile node {type(g).__name__}")

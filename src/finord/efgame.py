@@ -13,8 +13,8 @@ explores the compiler's fact step and outputs its state, the atomic facts
 of its j sets (``automata._fact_step``).  M(r+1, j) is the subset
 construction that erases M(r, j+1)'s last track, and a subset outputs the
 set of its members' outputs, the rank-(r+1) type.  Built on first use by the
-compiler's subset construction and Moore refinement, under the state cap of
-every automaton (``automata.effective_state_cap``), each machine is
+compiler's subset construction and Moore refinement, under the state cap
+that ``automata._explore`` reads for every automaton, each machine is
 minimized on its outputs, and M(k, 0)'s lasso types every size.
 
 Past two rounds the machines grow too large (M(1, 2) alone has 21 690
@@ -35,8 +35,7 @@ import functools
 
 import numpy as np
 
-from .automata import (_explore, _fact_start, _fact_step, _moore, _subsets,
-                       effective_state_cap)
+from .automata import _explore, _fact_start, _fact_step, _moore, _subsets
 from .formula.nodes import ResourceLimitError
 from .model import FiniteModel, _tables
 
@@ -83,13 +82,12 @@ def atomic_agreement(left: FiniteModel, a_tuple, right: FiniteModel,
 def _machine(r: int, j: int) -> tuple[tuple, tuple[int, ...]]:
     """M(r, j): rows from state 0, and one output id per state."""
     stage = ("type machine", f"{r} rounds, {j} tracks")
-    cap = effective_state_cap()
     if r == 0:
         outs, rows = _explore(_fact_start(j), lambda q: [
-            _fact_step(q, a) for a in range(1 << j)], cap, stage)
+            _fact_step(q, a) for a in range(1 << j)], stage)
     else:
         below, below_outs = _machine(r - 1, j + 1)
-        masks, rows = _subsets(below, 0, j, cap, stage)
+        masks, rows = _subsets(below, 0, j, stage)
         outs = [frozenset(o for s, o in enumerate(below_outs) if mask >> s & 1)
                 for mask in masks]
     reps, rows = _moore(rows, 0, outs)

@@ -390,23 +390,30 @@ class Summary(NamedTuple):
 
 def summary(f: Formula) -> Summary:
     """Summarize f in one walk without recursion, so that a formula of any
-    depth can be inspected.  Each node is visited with the names bound
-    above it and the nestings on its path, which the leaves settle."""
-    free, names, sugared = set(), set(), False
+    depth can be inspected.  Each node is visited with the nestings on its
+    path, which the leaves settle.  ``bound`` holds the names bound above
+    the node: a binder that binds a new name pushes a marker (None, name)
+    under its body, and popping it releases the name, so the walk keeps
+    one set, not one per pending node."""
+    free, names, bound, sugared = set(), set(), set(), False
     sets = binders = depth = 0
-    stack = [(f, frozenset(), 0, 0, 0)]
+    stack = [(f, 0, 0, 0)]
     while stack:
-        g, bound, s, b, d = stack.pop()
+        g, s, b, d = stack.pop()
         if isinstance(g, Binary):
-            stack += ((g.left, bound, s, b, d + 1),
-                      (g.right, bound, s, b, d + 1))
-        elif isinstance(g, Not):
-            stack.append((g.body, bound, s, b, d + 1))
+            stack += ((g.left, s, b, d + 1), (g.right, s, b, d + 1))
         elif isinstance(g, Binder):
-            names.add(g.var)
+            var = g.var
+            names.add(var)
             sugared = sugared or not g.over_sets
-            stack.append((g.body, bound | {g.var}, s + g.over_sets, b + 1,
-                          d + 1))
+            if var not in bound:
+                bound.add(var)
+                stack.append((None, var, 0, 0))
+            stack.append((g.body, s + g.over_sets, b + 1, d + 1))
+        elif isinstance(g, Not):
+            stack.append((g.body, s, b, d + 1))
+        elif g is None:
+            bound.remove(s)
         else:
             # conditional expressions rather than max(): this runs on every
             # evaluate call, and small sentences are most of them

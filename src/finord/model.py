@@ -582,7 +582,11 @@ def canonical_iso_check(m: int, n: int) -> bool:
     """Verify that gluing (A, B) to A with B shifted past position m is an
     isomorphism from the pair structure onto FiniteModel(m + n): a bijection
     preserving bot, inclusion, the cross order, and atomhood, both ways.
-    Every fact is read from the two structures themselves."""
+    Every fact is read from the two structures themselves, for all 4^(m+n)
+    pairs of elements, so m + n is held to the size ``evaluate`` holds."""
+    if m + n > DEFAULT_MAX_N:
+        raise ResourceLimitError(
+            f"model size {m} + {n} exceeds limit {DEFAULT_MAX_N}")
     prod = ProductStructure(FiniteModel(m), FiniteModel(n))
     target = FiniteModel(m + n)
     pairs = prod.universe()

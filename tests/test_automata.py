@@ -262,44 +262,58 @@ def test_concat_adds_lengths():
         concat(all_x(), unary_dfa(UPSet.naturals()))
 
 
-def test_state_cap(monkeypatch):
+def test_state_cap(state_cap):
+    state_cap(1)
     with pytest.raises(ResourceLimitError):
-        combine(all_x(), some_x(), "and", cap=1)
+        combine(all_x(), some_x(), "and")
     with pytest.raises(ResourceLimitError):
-        project(all_x(), "X", cap=1)
-    # concat takes no cap of its own: its projection reads the one cap
-    monkeypatch.setenv("FINORD_STATE_CAP", "1")
+        project(all_x(), "X")
     with pytest.raises(ResourceLimitError, match="projection"):
         concat(unary_dfa(UPSet(2, 1, {0}, {0})), unary_dfa(UPSet.naturals()))
 
 
-def test_state_cap_message_names_stage_and_width():
+def test_state_cap_message_names_stage_and_width(state_cap):
     wide = cylindrify(some_x(), ("X", "Y", "Z"))
+    state_cap(1)
     with pytest.raises(ResourceLimitError, match=r"product .* 3 tracks"):
-        combine(wide, all_x(), "or", cap=1)
+        combine(wide, all_x(), "or")
     with pytest.raises(ResourceLimitError, match=r"projection .* 3 tracks"):
-        project(wide, "Y", cap=1)
+        project(wide, "Y")
 
 
-def test_state_cap_env_override(monkeypatch):
-    monkeypatch.setenv("FINORD_STATE_CAP", "1")
+def test_state_cap_env_override(state_cap):
+    state_cap(1)
     with pytest.raises(ResourceLimitError):
         combine(all_x(), some_x(), "and")
-    monkeypatch.setenv("FINORD_STATE_CAP", "zero")
+    state_cap("zero")
     with pytest.raises(ValueError):
         combine(all_x(), some_x(), "and")
 
 
-def test_one_state_cap_binds_every_construction(monkeypatch):
+def test_one_state_cap_binds_every_construction(state_cap):
     # atomic automata and the games' type machines read the cap that
-    # products and projections read; their caches hold earlier builds
-    monkeypatch.setenv("FINORD_STATE_CAP", "1")
+    # products and projections read; their caches outlive clear_caches
+    state_cap(1)
     compiler._shape_automaton.cache_clear()
     efgame._machine.cache_clear()
     with pytest.raises(ResourceLimitError, match="atomic automaton"):
         base_automaton(parse("X sub Y"))
     with pytest.raises(ResourceLimitError, match="type machine"):
         ef_winner(FiniteModel(3), FiniteModel(4), 2)
+
+
+def test_state_cap_binds_hand_built_operands(state_cap):
+    # a six-state cycle is minimal, so minimizing it or walking its lasso
+    # discovers six states whatever the operand's own size
+    cycle = Dfa((), tuple(((s + 1) % 6,) for s in range(6)), frozenset([0]))
+    assert lasso_spectrum(cycle) == UPSet(0, 6, frozenset(), frozenset([0]))
+    state_cap(3)
+    with pytest.raises(ResourceLimitError,
+                       match=r"^lasso exceeds state cap 3 \(operand of 6"):
+        lasso_spectrum(cycle)
+    with pytest.raises(ResourceLimitError,
+                       match=r"^minimization exceeds state cap 3 \(operand"):
+        minimize(cycle)
 
 
 def test_to_dot_shape():

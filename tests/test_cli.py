@@ -137,8 +137,8 @@ def test_usage_errors_exit_2():
     assert exc.value.code == 2
 
 
-def test_state_cap_env(capsys, monkeypatch):
-    monkeypatch.setenv("FINORD_STATE_CAP", "2")
+def test_state_cap_env(capsys, state_cap):
+    state_cap(2)
     code, _, err = run(capsys, "spectrum", "ex1 x. ex1 y. ~(x = y)")
     assert code == 1
     assert err.startswith("error:") and "cap" in err

@@ -12,10 +12,10 @@ from finord import (DUPLICATOR, And, At, Bot, Dfa, Eq, ExistsSet, Exle,
                     base_automaton, build_psi, build_rho, build_sum,
                     clear_caches,
                     compile, cylindrify, desugar, ef_winner,
-                    effective_state_cap, equivalent, evaluate,
+                    equivalent, evaluate,
                     format_formula, minimize, parse, project, same_set,
                     spectrum)
-from finord import automata
+from finord import automata, compiler
 from finord.compiler import _compile, _miniscope
 from finord.formula import terms_of
 from finord.formula.nodes import summary
@@ -227,11 +227,28 @@ def test_sum_of_deep_counting_sentences():
     clear_caches()
 
 
-def test_compile_cap(monkeypatch):
-    monkeypatch.setenv("FINORD_STATE_CAP", "2")
+def test_compile_cap(state_cap):
+    state_cap(2)
     with pytest.raises(ResourceLimitError):
         compile(desugar(build_rho(4, 1)))
+
+
+def test_state_cap_is_read_at_first_use_and_after_clear_caches(
+        state_cap, monkeypatch):
+    f = parse("ex1 x. ex1 y. ~(x = y)")
+    want = UPSet(2, 1, frozenset(), frozenset([0]))
+    state_cap(10 ** 5)
+    assert spectrum(f) == want
+    # the reading stands until clear_caches: a cold spectrum still answers
+    monkeypatch.setenv("FINORD_STATE_CAP", "2")
+    compiler._spectrum.cache_clear()
+    assert spectrum(f) == want
     clear_caches()
+    with pytest.raises(ResourceLimitError, match="state cap 2"):
+        spectrum(f)
+    # the refusal was not memoized: restored, the cap lets it answer again
+    state_cap(10 ** 5)
+    assert spectrum(f) == want
 
 
 def test_compile_cache_hits():
@@ -254,7 +271,7 @@ def test_cylindrify_compile_consistency():
 
 def _unscoped(f):
     """The automaton of a desugared formula compiled without miniscoping."""
-    return _compile(f, effective_state_cap())
+    return _compile(f)
 
 
 def test_miniscope_keeps_automata():

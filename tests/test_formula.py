@@ -5,6 +5,7 @@ import pickle
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -12,6 +13,7 @@ from corpus import CORPUS, _random_sentence
 from finord import (FALSE, MAX, MIN, TRUE, And, At, AtomVar, Bot, Eq,
                     ExistsAtom, ExistsSet, Exle, FiniteModel, ForallAtom,
                     ForallSet, Iff, Implies, Mem, Not, Or, ParseError,
+                    ResourceLimitError,
                     SetVar, Subset, build_comp, build_psi, build_rho,
                     build_sum, conj, desugar, disj, evaluate,
                     format_formula, free_set_vars, free_vars, is_desugared,
@@ -288,6 +290,22 @@ def test_summary_matches_a_recursive_reference():
     assert summary(f) == (frozenset(), frozenset("Xxy"), True, 1, 3, 4)
     chain = conj([TRUE] * 3000)
     assert summary(chain) == (frozenset(), frozenset(), False, 0, 0, 2999)
+
+
+def test_summary_holds_one_set_of_bound_names():
+    # psi(eq, k) nests k binders; a set of the names bound above each
+    # pending node would keep k sets of up to k names (331 MB at k = 4000)
+    f = build_psi("eq", 4000)
+    tracemalloc.start()
+    try:
+        summary(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    # so a far deeper sentence reaches desugar's bound and is refused
+    with pytest.raises(ResourceLimitError, match="exceeds limit 308"):
+        spectrum(build_psi("eq", 10 ** 4))
 
 
 def test_free_vars():

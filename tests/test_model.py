@@ -432,6 +432,15 @@ def test_canonical_iso_check_small_grid():
             assert canonical_iso_check(m, n) is True
 
 
+def test_canonical_iso_check_refuses_past_the_model_size_limit():
+    # all 4^(m+n) pairs are compared, so the check is held to the size
+    # evaluate is held to, and refuses before building either structure
+    for m, n in ((5, 6), (11, 0), (10 ** 7, 10 ** 7)):
+        with pytest.raises(ResourceLimitError,
+                           match=f"model size {m} \\+ {n} exceeds limit 10"):
+            canonical_iso_check(m, n)
+
+
 @pytest.mark.parametrize("relation", ["exle", "subset"])
 def test_canonical_iso_check_reads_the_product(monkeypatch, relation):
     # the relation with its arguments swapped differs at some pair of 1 + 1
