@@ -5,10 +5,12 @@ subset of its positions per track: letter bit j (value ``(letter >> j) & 1``)
 says whether position i belongs to the set named ``tracks[j]``.  Boolean
 combinations, track projection, minimization, equivalence, unary
 concatenation (a projection of split words), and lasso extraction are
-provided; every operation returns a complete automaton.  One breadth-first
-discovery loop, ``_explore``, builds every automaton: the product, the
-subset construction, the canonical renumbering after minimization and
-renaming, and the lasso walk.  It alone reads the state cap,
+provided; each operation builds one complete ``Dfa``, its minimal result, as
+products and subset constructions feed Moore refinement (``_minimal``)
+directly, and ``minimize`` is the entry for hand-built automata.  One
+breadth-first discovery loop, ``_explore``, builds every automaton: the
+product, the subset construction, the canonical renumbering after
+minimization and renaming, and the lasso walk.  It alone reads the state cap,
 ``effective_state_cap()``: ``FINORD_STATE_CAP`` if set, else the default,
 read at first use and again after ``compiler.clear_caches()``.  The cap
 bounds what a call builds, hand-built operands included; memoized answers
@@ -102,30 +104,28 @@ def cylindrify(a: Dfa, tracks) -> Dfa:
         raise ValueError("new track list must contain the old tracks")
     if tracks == a.tracks:
         return a
-    rows = _read_letters(a.transitions, [tracks.index(t) for t in a.tracks],
-                         len(tracks))
-    return Dfa(tracks, rows, a.accepting, a.initial)
+    return Dfa(tracks, _read_letters(a.transitions, a.tracks, tracks),
+               a.accepting, a.initial)
 
 
 def _rename(a: Dfa, names) -> Dfa:
     """Track ``a.tracks[j]`` renamed ``names[j]``, letters and states
     renumbered as ``minimize`` would number them."""
     tracks = tuple(sorted(names))
-    positions = list(map(tracks.index, names))
-    if positions == sorted(positions):
+    if tuple(names) == tracks:
         return Dfa(tracks, a.transitions, a.accepting, a.initial)
-    rows = _read_letters(a.transitions, positions, len(tracks))
+    rows = _read_letters(a.transitions, names, tracks)
     order, rows = _explore(a.initial, rows.__getitem__,
                            ("renaming", f"operand of {a.n_states} states"))
     return Dfa(tracks, rows, frozenset(
         i for i, s in enumerate(order) if s in a.accepting), 0)
 
 
-def _read_letters(transitions, positions, width: int) -> tuple:
-    """Rows over ``width`` bits; old letter bit j is new bit positions[j]."""
-    bit = {p: 1 << j for j, p in enumerate(positions)}
+def _read_letters(transitions, names, tracks) -> tuple:
+    """Rows over ``tracks`` from rows whose letter bit j is ``names[j]``."""
+    bit = {tracks.index(t): 1 << j for j, t in enumerate(names)}
     lookup = [0]  # the old letter of each new one, doubled per new bit
-    for p in range(width):
+    for p in range(len(tracks)):
         lookup += [old | bit[p] for old in lookup] if p in bit else lookup
     return tuple(tuple(map(row.__getitem__, lookup)) for row in transitions)
 
@@ -180,22 +180,21 @@ def combine(a: Dfa, b: Dfa, op: str) -> Dfa:
         raise ValueError('op must be "and", "or", "implies" or "iff"')
     keep = _OPS[op]
     tracks = tuple(sorted(set(a.tracks) | set(b.tracks)))
-    a2, b2 = cylindrify(a, tracks), cylindrify(b, tracks)
-    nb = b2.n_states
+    rows_a, rows_b = (x.transitions if x.tracks == tracks else _read_letters(
+        x.transitions, x.tracks, tracks) for x in (a, b))
+    nb = b.n_states
 
     # the reachable synchronous product over pair codes s*|B|+t
     def successors(code):
         s, t = divmod(code, nb)
-        return list(map(add, map(nb.__mul__, a2.transitions[s]),
-                        b2.transitions[t]))
+        return list(map(add, map(nb.__mul__, rows_a[s]), rows_b[t]))
 
-    order, rows = _explore(a2.initial * nb + b2.initial, successors, (
+    order, rows = _explore(a.initial * nb + b.initial, successors, (
         "product",
-        f"operands of {a2.n_states} and {nb} states, {a2.width} tracks"))
-    accepting = frozenset(i for i, code in enumerate(order)
-                          if keep(code // nb in a2.accepting,
-                                  code % nb in b2.accepting))
-    return minimize(Dfa(tracks, tuple(rows), accepting, 0))
+        f"operands of {a.n_states} and {nb} states, {len(tracks)} tracks"))
+    return _minimal(tracks, rows, 0, [
+        keep(code // nb in a.accepting, code % nb in b.accepting)
+        for code in order])
 
 
 def complement(a: Dfa) -> Dfa:
@@ -208,15 +207,20 @@ def project(a: Dfa, track: str) -> Dfa:
     """Erase one track existentially: accept a word when some assignment of
     the erased bits is accepted; subset construction over state bitmasks,
     then minimized."""
+    return _project(a, track, True)
+
+
+def _project(a: Dfa, track: str, exists: bool) -> Dfa:
+    """``project``, or universally (a subset accepts when all its states
+    do), which is complement ∘ project ∘ complement with no complement."""
     if track not in a.tracks:
         raise ValueError(f"no track named {track}")
     order, rows = _subsets(a.transitions, a.initial, a.tracks.index(track), (
         "projection", f"operand of {a.n_states} states, {a.width} tracks"))
-    acc_mask = sum(1 << s for s in a.accepting)
-    accepting = frozenset(i for i, subset in enumerate(order)
-                          if subset & acc_mask)
-    rest = tuple(t for t in a.tracks if t != track)
-    return minimize(Dfa(rest, tuple(rows), accepting, 0))
+    acc = sum(1 << s for s in a.accepting)
+    return _minimal(tuple(t for t in a.tracks if t != track), rows, 0, [
+        subset & acc != 0 if exists else subset & acc == subset
+        for subset in order])
 
 
 def _subsets(transitions, initial: int, pos: int, stage):
@@ -248,10 +252,16 @@ def minimize(a: Dfa) -> Dfa:
     """Language-minimal DFA with states renumbered in breadth-first
     discovery order (letters ascending), so equal languages over equal
     tracks yield structurally equal automata."""
-    reps, rows = _moore(a.transitions, a.initial,
-                        [s in a.accepting for s in range(a.n_states)])
-    accepting = frozenset(i for i, s in enumerate(reps) if s in a.accepting)
-    return Dfa(a.tracks, tuple(rows), accepting, 0)
+    return _minimal(a.tracks, a.transitions, a.initial,
+                    [s in a.accepting for s in range(a.n_states)])
+
+
+def _minimal(tracks, rows, initial: int, labels: list) -> Dfa:
+    """The minimal automaton of rows from ``initial`` whose states accept
+    where ``labels`` is true: the one ``Dfa`` each operation builds."""
+    reps, rows = _moore(rows, initial, labels)
+    return Dfa(tracks, tuple(rows),
+               frozenset(i for i, s in enumerate(reps) if labels[s]), 0)
 
 
 def _moore(transitions, initial: int, labels: list):
@@ -260,7 +270,7 @@ def _moore(transitions, initial: int, labels: list):
     (one member state per class, successor rows)."""
     n = len(transitions)
     cls, count = labels, len(set(labels))  # cls[s] is the class of s
-    while True:
+    while count < n:  # singleton classes cannot split
         sigs: dict[tuple, int] = {}
         cls = [sigs.setdefault((c, *map(cls.__getitem__, row)), len(sigs))
                for c, row in zip(cls, transitions)]

@@ -5,8 +5,8 @@ one subset of positions per track.  Compilation is structural: an atomic
 formula's automaton explores the fact step (``automata._fact_step``) and
 is minimized on the fact it states, every binary connective is one
 product (``automata.combine``), and a set quantifier projects its
-variable's track away (universal quantification via double complement),
-so a binder that reuses a name needs no renaming.
+variable's track away, existentially or universally (one subset
+construction either way), so a binder that reuses a name needs no renaming.
 Each compile builds a connective or binder once per shape, its form up to
 renaming (``_Shapes``: bound variables go by binder, free ones by first
 occurrence); a later node of that shape renames the tracks of the automaton
@@ -72,9 +72,7 @@ def _shape_automaton(kind: type, positions: tuple) -> Dfa:
     holds = [pops[x] == 1 if kind is At else exle[x][y] if kind is Exle
              else sub[x][y] and (kind is Subset or sub[y][x])
              for pops, sub, exle in states]
-    reps, rows = au._moore(rows, 0, holds)
-    return Dfa(tuple(f"T{j}" for j in range(width)), rows,
-               frozenset(i for i, s in enumerate(reps) if holds[s]))
+    return au._minimal(tuple(f"T{j}" for j in range(width)), rows, 0, holds)
 
 
 def compile(f: Formula) -> Dfa:
@@ -140,11 +138,11 @@ def _compile(f: Formula, shapes: _Shapes | None = None) -> Dfa:
         elif type(g) in _CONNECTIVES:
             a = au.combine(walk(g.left), walk(g.right), _CONNECTIVES[type(g)])
         elif isinstance(g, Binder) and g.over_sets:
-            # ∀ is the complement of ∃ over the complement
+            # ∀ accepts a subset of states when all of them accept
             a = walk(g.body)
             if g.var in a.tracks:
-                a = au.project(a if g.exists else au.complement(a), g.var)
-                a = a if g.exists else au.complement(a)
+                a = (au.project(a, g.var) if g.exists
+                     else au._project(a, g.var, False))
         else:
             raise ValueError(f"cannot compile node {type(g).__name__}")
         if shape in repeated:

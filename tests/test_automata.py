@@ -1,15 +1,16 @@
 """DFA kernel: Boolean ops, projection, minimization, lasso extraction."""
 
 import random
+from operator import and_, eq, le, or_
 
 import pytest
 
 from finord import (Dfa, FiniteModel, ResourceLimitError, UPSet,
                     base_automaton, combine, complement, concat, cylindrify,
-                    ef_winner, equivalent, lasso_spectrum, minimize, parse,
-                    project, to_dot, unary_dfa)
+                    desugar, ef_winner, equivalent, lasso_spectrum, minimize,
+                    parse, project, to_dot, unary_dfa)
 from finord import compiler, efgame
-from finord.automata import _cube_cover
+from finord.automata import _cube_cover, _moore, _project
 
 
 def all_x():
@@ -193,6 +194,126 @@ def test_projection_vs_word_oracle():
                                   for i in range(n)])
                        for combo in range(1 << n))
             assert p.accepts(word) == want
+
+
+# operand track sets that differ from each other and from their union
+_TRACK_SETS = ((), ("X",), ("Y",), ("X", "Y"), ("X", "Z"), ("Y", "Z"))
+
+
+def _explicit_product(a, b, op):
+    """Both operands cylindrified to their tracks' union, their product
+    over every pair of states, then minimized."""
+    keep = {"and": and_, "or": or_, "implies": le, "iff": eq}[op]
+    tracks = tuple(sorted(set(a.tracks) | set(b.tracks)))
+    a, b = cylindrify(a, tracks), cylindrify(b, tracks)
+    nb = b.n_states
+    rows = [[s * nb + t for s, t in zip(row_a, row_b)]
+            for row_a in a.transitions for row_b in b.transitions]
+    accepting = {s * nb + t for s in range(a.n_states) for t in range(nb)
+                 if keep(s in a.accepting, t in b.accepting)}
+    return minimize(Dfa(tracks, rows, accepting,
+                        a.initial * nb + b.initial))
+
+
+def test_combine_equals_minimized_explicit_product():
+    rng = random.Random(43)
+    for _ in range(60):
+        a = _random_dfa(rng, rng.choice(_TRACK_SETS))
+        b = _random_dfa(rng, rng.choice(_TRACK_SETS))
+        for op in ("and", "or", "implies", "iff"):
+            assert combine(a, b, op) == _explicit_product(a, b, op)
+
+
+def test_universal_projection_is_the_dual_of_projection():
+    rng = random.Random(47)
+    for _ in range(60):
+        a = _random_dfa(rng, rng.choice(_TRACK_SETS[1:]))
+        for track in a.tracks:
+            assert _project(a, track, False) == complement(
+                project(complement(a), track))
+
+
+def test_universal_projection_vs_word_oracle():
+    rng = random.Random(53)
+    for _ in range(25):
+        a = _random_dfa(rng, ("X", "Y"))
+        p = _project(a, "Y", False)
+        assert p.tracks == ("X",)
+        for word in _words(1, 4):
+            n = len(word)
+            want = all(a.accepts([word[i] | (((combo >> i) & 1) << 1)
+                                  for i in range(n)])
+                       for combo in range(1 << n))
+            assert p.accepts(word) == want
+
+
+def test_each_operation_builds_one_dfa(monkeypatch):
+    a, b = cylindrify(some_x(), ("X", "Y")), all_x()
+    body, forall = (desugar(parse(text))
+                    for text in ("X sub Y", "all2 X. X sub Y"))
+    base_automaton(body)  # its atomic shape is memoized from here on
+    built = []
+    post_init = Dfa.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Dfa, "__post_init__", counted)
+
+    def constructions(call) -> int:
+        built.clear()
+        call()
+        return len(built)
+
+    assert constructions(lambda: combine(a, b, "and")) == 1
+    assert constructions(lambda: project(a, "Y")) == 1
+    assert constructions(lambda: _project(a, "Y", False)) == 1
+    # beyond the base automaton of its body, the ∀ binder builds one
+    assert constructions(lambda: compiler._compile(body)) == 1
+    assert constructions(lambda: compiler._compile(forall)) == 2
+
+
+def _refined_until_no_split(transitions, initial, labels):
+    """Moore refinement run until a round splits no class, then the classes
+    reachable from ``initial`` numbered breadth-first, letters ascending,
+    each by the last of its states: (those states, successor rows)."""
+    cls = list(labels)
+    while True:
+        sigs = {}
+        new = [sigs.setdefault((c, *(cls[t] for t in row)), len(sigs))
+               for c, row in zip(cls, transitions)]
+        if len(sigs) == len(set(cls)):
+            break
+        cls = new
+    rep = {c: s for s, c in enumerate(cls)}
+    order, index, rows = [cls[initial]], {cls[initial]: 0}, []
+    for c in order:
+        for t in transitions[rep[c]]:
+            if cls[t] not in index:
+                index[cls[t]] = len(order)
+                order.append(cls[t])
+        rows.append(tuple(index[cls[t]] for t in transitions[rep[c]]))
+    return [rep[c] for c in order], rows
+
+
+def test_moore_stops_at_singleton_classes():
+    rng = random.Random(59)
+    cases = []
+    for _ in range(60):
+        a = _random_dfa(rng, rng.choice(_TRACK_SETS))
+        n = a.n_states
+        # labels that separate every state already, and acceptance
+        cases.append((a.transitions, a.initial, rng.sample(range(n), n)))
+        cases.append((a.transitions, a.initial,
+                      [s in a.accepting for s in range(n)]))
+    # M(2, 1) and M(2, 2) exceed the default state cap
+    for k, j in ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0)):
+        rows, outs = efgame._machine(k, j)
+        cases.append((rows, 0, list(outs)))
+    for transitions, initial, labels in cases:
+        assert _moore(transitions, initial, labels) == \
+            _refined_until_no_split(transitions, initial, labels)
 
 
 def test_equivalent():
