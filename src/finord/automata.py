@@ -10,12 +10,12 @@ products and subset constructions feed Moore refinement (``_minimal``)
 directly, and ``minimize`` is the entry for hand-built automata.  One
 breadth-first discovery loop, ``_explore``, builds every automaton: the
 product, the subset construction, the canonical renumbering after
-minimization and renaming, and the lasso walk.  It alone reads the state cap,
+minimization, and the lasso walk.  It alone reads the state cap,
 ``effective_state_cap()``: ``FINORD_STATE_CAP`` if set, else the default,
 read at first use and again after ``compiler.clear_caches()``.  The cap
 bounds what a call builds, hand-built operands included; memoized answers
-(spectra, compiled automata, atomic shapes, type machines) stand whatever
-the cap, and refusals are never memoized.  One step, ``_fact_step``, reads
+(spectra, atomic shapes, type machines) stand whatever the cap, and
+refusals are never memoized.  One step, ``_fact_step``, reads
 the atomic facts of sets along a word for the compiler's atomic automata
 and the game's type machines.
 """
@@ -106,19 +106,6 @@ def cylindrify(a: Dfa, tracks) -> Dfa:
         return a
     return Dfa(tracks, _read_letters(a.transitions, a.tracks, tracks),
                a.accepting, a.initial)
-
-
-def _rename(a: Dfa, names) -> Dfa:
-    """Track ``a.tracks[j]`` renamed ``names[j]``, letters and states
-    renumbered as ``minimize`` would number them."""
-    tracks = tuple(sorted(names))
-    if tuple(names) == tracks:
-        return Dfa(tracks, a.transitions, a.accepting, a.initial)
-    rows = _read_letters(a.transitions, names, tracks)
-    order, rows = _explore(a.initial, rows.__getitem__,
-                           ("renaming", f"operand of {a.n_states} states"))
-    return Dfa(tracks, rows, frozenset(
-        i for i, s in enumerate(order) if s in a.accepting), 0)
 
 
 def _read_letters(transitions, names, tracks) -> tuple:

@@ -9,8 +9,10 @@ variable's track away, existentially or universally (one subset
 construction either way), so a binder that reuses a name needs no renaming.
 Each compile builds a connective or binder once per shape, its form up to
 renaming (``_Shapes``: bound variables go by binder, free ones by first
-occurrence); a later node of that shape renames the tracks of the automaton
-kept for the first (``automata._rename``), and the memo ends with the call.
+occurrence); letter bits follow the sorted track names, so a later node of
+that shape relabels the first's automaton when its names keep the tracks'
+order, and is built afresh when they reorder them.  The memo ends with the
+call; only ``spectrum`` keeps answers across calls.
 Before compiling, quantifiers are miniscoped: a universal is pushed through
 the conjuncts of its body and an existential through the disjuncts, and
 the links of a binder's body that do not mention its variable move outside
@@ -20,7 +22,7 @@ adds every node it keeps or builds to the shapes, whose free variables
 tell which links move.  For a sentence the result has no tracks, and its
 accepted lengths — extracted from the unary transition lasso — are
 exactly the model sizes satisfying the sentence.  Only ``automata._explore``
-reads the state cap, so the memos here are keyed by the formula alone.
+reads the state cap, so ``spectrum``'s memo is keyed by the formula alone.
 """
 
 from __future__ import annotations
@@ -78,44 +80,38 @@ def _shape_automaton(kind: type, positions: tuple) -> Dfa:
 def compile(f: Formula) -> Dfa:
     """Automaton whose words over the free variables' tracks are exactly
     the satisfying assignments; requires a desugared input, nested no
-    deeper than what ``desugar`` makes of parsed text."""
+    deeper than what ``desugar`` makes of parsed text.  Not memoized."""
     s = summary(f)
     if s.sugared:
         raise ValueError("compile requires a desugared formula")
     _check_nesting("formula", s.depth)
-    return _compiled(f)
+    return _scoped(f)
 
 
 def spectrum(f: Formula) -> UPSet:
     """The canonical ultimately periodic set of model sizes satisfying the
-    sentence f (surface sugar allowed), cached apart from ``compile``;
-    ``desugar`` refuses, uncached, one it could desugar past 308 levels."""
+    sentence f (surface sugar allowed), memoized; ``desugar`` refuses,
+    uncached, one it could desugar past 308 levels."""
     if summary(f).free:
         raise ValueError("spectrum requires a sentence")
     return _spectrum(f)
 
 
 # Above the distinct sentences any one workload or test run touches.
-_CACHE_SIZE = 4096
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _compiled(f: Formula) -> Dfa:
-    shapes = _Shapes()
-    return _compile(_miniscope(f, shapes), shapes)
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
+@lru_cache(maxsize=4096)
 def _spectrum(f: Formula) -> UPSet:
-    shapes = _Shapes()
-    return au.lasso_spectrum(_compile(_miniscope(desugar(f), shapes), shapes))
+    return au.lasso_spectrum(_scoped(desugar(f)))
 
 
 def clear_caches() -> None:
-    """Drop memoized compilations and spectra, and the state cap's reading."""
-    _compiled.cache_clear()
+    """Drop memoized spectra and the state cap's reading."""
     _spectrum.cache_clear()
     effective_state_cap.cache_clear()
+
+
+def _scoped(f: Formula) -> Dfa:
+    shapes = _Shapes()
+    return _compile(_miniscope(f, shapes), shapes)
 
 
 def _compile(f: Formula, shapes: _Shapes | None = None) -> Dfa:
@@ -127,8 +123,11 @@ def _compile(f: Formula, shapes: _Shapes | None = None) -> Dfa:
     def walk(g: Formula) -> Dfa:
         shape, names, _ = of[id(g)]
         if shape in memo:
+            # a renaming that keeps the tracks in order keeps the letters
             a, where = memo[shape]
-            return au._rename(a, [names[i] for i in where])
+            tracks = [names[i] for i in where]
+            if tracks == sorted(tracks):
+                return Dfa(tracks, a.transitions, a.accepting)
         if isinstance(g, (TrueF, FalseF)):
             return Dfa((), ((0,),), frozenset([0] if type(g) is TrueF else []))
         if isinstance(g, (Relation, At)):

@@ -59,7 +59,7 @@ class Table(ResidueSpec):
         else:
             pairs = tuple(tuple(e) for e in entries)
         for pair in pairs:
-            if len(pair) != 2 or not all(isinstance(x, int) for x in pair):
+            if len(pair) != 2 or not all(type(x) is int for x in pair):
                 raise ValueError(f"table entry must be (prime power, residue): {pair!r}")
         object.__setattr__(self, "entries", tuple(sorted(pairs)))
 
@@ -70,7 +70,7 @@ class ZeroShift(ResidueSpec):
     c: int
 
     def __post_init__(self):
-        if not isinstance(self.c, int) or self.c < 0:
+        if type(self.c) is not int or self.c < 0:
             raise ValueError("shift must be a natural number")
 
 
@@ -84,7 +84,7 @@ class Fin(TypePoint):
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 0:
+        if type(self.n) is not int or self.n < 0:
             raise ValueError("size must be a natural number")
 
 
@@ -267,16 +267,16 @@ def format_point(point: TypePoint) -> str:
 def parse_point(text: str) -> TypePoint:
     """Inverse of format_point (exact roundtrip)."""
     body = text.strip()
-    if body.startswith("fin:"):
-        return Fin(_nat(body[4:]))
-    if not body.startswith("inf:"):
-        raise ValueError(f"not a point serialization: {text!r}")
     rest = body[4:]
-    if rest.startswith("zero+"):
-        return Inf(ZeroShift(_nat(rest[5:])))
-    entries = []
-    if rest:
-        for part in rest.split(";"):
+    if body.startswith("fin:"):
+        point = Fin(_nat(rest))
+    elif not body.startswith("inf:"):
+        raise ValueError(f"not a point serialization: {text!r}")
+    elif rest.startswith("zero+"):
+        point = Inf(ZeroShift(_nat(rest[5:])))
+    else:
+        entries = []
+        for part in rest.split(";") if rest else ():
             head, eq, value = part.partition("=")
             base, caret, exponent = head.partition("^")
             if not eq or not caret or not value:
@@ -286,7 +286,8 @@ def parse_point(text: str) -> TypePoint:
             if j >= _MAX_KEY.bit_length() or p ** j >= _MAX_KEY:
                 raise ValueError(f"key {head} is not below the key bound 2^32")
             entries.append((p ** j, _nat(value)))
-    point = Inf(Table(tuple(entries)))
+        point = Inf(Table(tuple(entries)))
+    # leading zeros and non-ASCII digits parse, but do not print back
     if format_point(point) != body:
         raise ValueError(f"not in canonical point form: {text!r}")
     return point

@@ -99,10 +99,7 @@ class UPSet:
         return UPSet(n, d, frozenset(x for x in self.init if x < n), res)
 
     def complement(self) -> "UPSet":
-        return UPSet(self.threshold, self.period,
-                     frozenset(x for x in range(self.threshold) if x not in self.init),
-                     frozenset(r for r in range(self.period) if r not in self.residues)
-                     ).canonicalize()
+        return _pointwise(self, self, lambda p, q: not p)
 
     def union(self, other: "UPSet") -> "UPSet":
         return _pointwise(self, other, lambda p, q: p or q)

@@ -108,8 +108,9 @@ def test_domain_errors_exit_1(capsys, tmp_path):
     code, _, err = run(capsys, "spectrum", "at(X)")
     assert code == 1 and err.startswith("error:")
     # bad point serialization
-    code, _, err = run(capsys, "decide", "--point", "fin:-1", "true")
-    assert code == 1 and err.startswith("error:")
+    for point in ("fin:-1", "fin:00"):
+        code, _, err = run(capsys, "decide", "--point", point, "true")
+        assert code == 1 and err.startswith("error:")
     # table keys at or past 2^32 (here 2^30000000 and the prime 2^61 - 1)
     # are refused before they are computed or factored
     for point in ("inf:2^30000000=0", "inf:2305843009213693951^1=0"):

@@ -10,7 +10,7 @@ from finord import (DUPLICATOR, And, At, Bot, Dfa, Eq, ExistsSet, Exle,
                     FalseF, ForallSet, Iff, Implies, Mem, Not, Or,
                     ResourceLimitError, SetVar, Subset, TrueF, UPSet,
                     base_automaton, build_psi, build_rho, build_sum,
-                    clear_caches,
+                    clear_caches, combine,
                     compile, cylindrify, desugar, ef_winner,
                     equivalent, evaluate,
                     format_formula, minimize, parse, project, same_set,
@@ -251,16 +251,6 @@ def test_state_cap_is_read_at_first_use_and_after_clear_caches(
     assert spectrum(f) == want
 
 
-def test_compile_cache_hits():
-    clear_caches()
-    f = desugar(build_rho(3, 2))
-    a1 = compile(f)
-    a2 = compile(f)
-    assert a1 is a2
-    clear_caches()
-    assert compile(f) is not a1 or compile(f) == a1
-
-
 def test_cylindrify_compile_consistency():
     # compiling f over a wider track set equals cylindrifying the compile
     f = At(SetVar("X"))
@@ -371,31 +361,48 @@ def _renamed(f, names):
 
 
 def test_renamed_copies_compile_once(monkeypatch):
-    renames = []
-    rename = automata._rename
-    monkeypatch.setattr(automata, "_rename", lambda a, names: (
-        renames.append(list(names)) or rename(a, names)))
-    clear_caches()
-    # the second copy is the first with X and Y swapped, so its automaton is
-    # the first's with its letter bits permuted and its states renumbered
-    swapped = parse("(ex2 Z. X sub Z & Z sub Y) & (ex2 W. Y sub W & W sub X)")
-    compile(swapped)
-    assert renames == [["Y", "X"]]
+    # a later node of a repeated shape whose free variables keep the sorted
+    # order of the first's relabels the first's automaton and projects
+    # nothing; one that reorders them compiles afresh
+    projections = []
+    project_ = automata._project
+    monkeypatch.setattr(automata, "_project", lambda a, track, exists: (
+        projections.append(track) or project_(a, track, exists)))
+
+    def projected(f):
+        projections.clear()
+        return compile(f), len(projections)
+
+    # the first's tracks X, Y become Y, Z in the copy: the order holds
+    kept = parse("(ex2 Z. Y sub Z & Z sub X) | (ex2 W. Z sub W & W sub Y)")
+    # they become Y, X: reordered, though the copy names them in order
+    swapped = parse("(ex2 Z. Y sub Z & Z sub X) & (ex2 W. X sub W & W sub Y)")
+    assert projected(kept)[1] == 1
+    a, count = projected(swapped)
+    assert count == 2
+    assert a == combine(compile(swapped.left), compile(swapped.right), "and")
     # one binder over at(X) is vacuous and one binds X: two shapes
-    copies = [swapped, parse("(ex2 Y. at(X)) | (ex2 X. at(X))")]
+    copies = [(kept, kept.left, True), (swapped, swapped.left, False),
+              (parse("(ex2 Y. at(X)) | (ex2 X. at(X))"), None, True)]
     rng = random.Random(16)
     for _ in range(40):
         g = _random_desugared(rng, ("X", "Y", "Z"), rng.randrange(1, 4))
         names = dict(zip("XYZ", rng.sample("XYZ", 3)))
-        copies.append(rng.choice((And, Or, Iff))(g, _renamed(g, names)))
-    for f in copies:
-        a = compile(f)
+        tracks = [names[t] for t in compile(g).tracks]
+        copies.append((rng.choice((And, Or, Iff))(g, _renamed(g, names)), g,
+                       tracks == sorted(tracks)))
+    for f, g, order_kept in copies:
+        a, count = projected(f)
+        if g is not None:
+            alone = projected(g)[1]
+            assert count == alone if order_kept else count >= alone, f
         assert a == minimize(a), f
         for n in range(4 if a.width < 3 else 3):
             for word in _all_words(a.width, n):
                 size, env = _word_env(word, a.tracks)
                 assert a.accepts(word) == evaluate(FiniteModel(size), f, env)
-    assert len(renames) > 20
+    assert sum(kept for _f, _g, kept in copies) > 20
+    assert sum(not kept for _f, _g, kept in copies) > 5
 
 
 def test_spectra_are_unions_of_game_classes():

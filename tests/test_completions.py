@@ -2,8 +2,11 @@
 
 import math
 import random
+from itertools import count
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finord import (UNDETERMINED, Fin, Inf, Not, Table, UPSet, ZeroShift,
                     build_psi, build_rho, crt_solve, format_point, parse,
@@ -204,11 +207,38 @@ def test_point_serialization_roundtrip():
 def test_parse_point_rejects():
     for text in ("fin:-1", "fin:", "fin: 2", "inf:2^1=5", "inf:4^1=1",
                  "inf:4^1=2", "inf:2^2=3;2^1=1", "inf:3^1=2;2^2=3", "nope",
-                 "inf:zero+-3", "inf:zero+", "inf:6^1=1"):
+                 "inf:zero+-3", "inf:zero+", "inf:6^1=1",
+                 # digits that int() reads but format_point never prints
+                 "fin:00", "inf:zero+007", "fin:\u0663", "inf:zero+\u0663"):
         with pytest.raises(ValueError):
             parse_point(text)
     # surrounding whitespace is tolerated; the body itself is strict
     assert parse_point(" fin:2 ") == Fin(2)
+
+
+@st.composite
+def _points(draw):
+    kind = draw(st.sampled_from(("fin", "zero", "table")))
+    if kind != "table":
+        n = draw(st.integers(min_value=0, max_value=10 ** 30))
+        return Fin(n) if kind == "fin" else Inf(ZeroShift(n))
+    entries = {}
+    for p in draw(st.lists(st.sampled_from((2, 3, 5, 7, 11, 65537)),
+                           unique=True)):
+        top = next(j for j in count(1) if p ** (j + 1) >= 2 ** 32)
+        key = p ** draw(st.integers(min_value=1, max_value=top))
+        entries[key] = draw(st.integers(min_value=0, max_value=key - 1))
+    return Inf(Table(entries))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_points(), st.booleans())
+def test_point_text_roundtrip(point, flag):
+    assert parse_point(format_point(point)) == point
+    # a bool is an int, but prints as neither a size nor a residue
+    for make in (Fin, ZeroShift, lambda b: Table({2: b})):
+        with pytest.raises(ValueError):
+            make(flag)
 
 
 def test_spectrum_clopen_consistency():

@@ -10,7 +10,7 @@ from corpus import CORPUS, _random_sentence
 import finord.model
 from finord import (TRUE, At, AtomVar, Eq, ExistsAtom, ExistsSet, Exle, Fin,
                     FiniteModel, ForallAtom, ForallSet, Implies, Not,
-                    ResourceLimitError, SetVar, Subset,
+                    ResourceLimitError, SetVar, Subset, UPSet,
                     build_psi, build_rho, build_sum, canonical_iso_check,
                     clear_caches, compile, conj, desugar, disj, evaluate,
                     format_formula, free_set_vars, free_vars, is_desugared,
@@ -225,18 +225,32 @@ def test_every_formula_entry_point_ends_on_deep_input():
                 call()
             except (ValueError, ResourceLimitError):
                 pass
-    # the deepest formula desugaring makes of parsed text compiles, and a
-    # fresh equal copy hits the warm cache from 200 frames down
+    # the deepest formula desugaring makes of parsed text compiles twice
+    # from 200 frames down, to equal automata
     text = "ex1 " + " ".join(f"x{i}" for i in range(150)) + ". min << max"
     first, second = desugar(parse(text)), desugar(parse(text))
     assert summary(first).depth == 308 and first is not second
 
-    def nested(k, f):
-        return compile(f) if k == 0 else nested(k - 1, f)
+    def nested(k, call):
+        return call() if k == 0 else nested(k - 1, call)
 
     clear_caches()
-    a = nested(200, first)
-    assert nested(200, second) is a and a.width == 0
+    a = nested(200, lambda: compile(first))
+    assert nested(200, lambda: compile(second)) == a and a.width == 0
+
+    # a sentence built in code 298 levels deep, as deep as desugaring
+    # admits under two binders, and a fresh equal copy hits the warm
+    # spectrum cache from 200 frames down
+    def blocks():
+        X, Y = SetVar("X"), SetVar("Y")
+        return ExistsSet("X", ExistsSet("Y", conj(
+            [Not(Subset(Y, X)), Subset(X, Y), At(X), Exle(X, Y)] * 74)))
+
+    f, g = blocks(), blocks()
+    assert summary(f).depth == 298 and f is not g
+    s = nested(200, lambda: spectrum(f))
+    assert nested(200, lambda: spectrum(g)) is s
+    assert s == UPSet(2, 1, frozenset(), frozenset([0]))
     for call in (lambda: compile(Not(first)),
                  lambda: relativize(Not(first), "R"),
                  lambda: format_formula(Not(first)),
