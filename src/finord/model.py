@@ -12,7 +12,10 @@ And chain (Or chain under all2) and, for several variables, through what
 distributes over that chain; a variable gets its axis when the first part
 that reads it runs, a set variable that no part reads gets none, and when
 few cells survive a part they are compacted onto one axis of rows shared by
-the variables bound so far.  An atom block's body is one part; when its
+the variables bound so far.  A part ``all1 x. X(x) <-> phi`` (a conjunct
+under ex2, an antecedent under all2) where phi does not read X binds X, in
+a block of its own, to the one set phi defines: X gets no 2^n axis, and the
+part holds by construction.  An atom block's body is one part; when its
 table would exceed _SLICE_CELLS, its trailing variables are bound one atom
 at a time until the answer is settled, so that no table widens by n.
 ``nodes.summary``, one walk without recursion, gives the nestings the
@@ -37,11 +40,11 @@ from operator import and_, eq, le, or_
 
 import numpy as np
 
-from .formula.nodes import (And, At, Binder, Bot, Eq, Exle, FalseF, Formula,
-                            Iff, Implies, MaxAtom, MinAtom, Not, Or,
-                            ResourceLimitError, Term, TrueF, Variable,
-                            _check_nesting, _name_sort, rebuild, summary,
-                            terms_of)
+from .formula.nodes import (And, At, Binder, Bot, Eq, Exle, FalseF, ForallAtom,
+                            Formula, Iff, Implies, MaxAtom, Mem, MinAtom, Not,
+                            Or, ResourceLimitError, Term, TrueF, Variable,
+                            TRUE, _check_nesting, _name_sort, rebuild,
+                            summary, terms_of)
 
 DEFAULT_MAX_N = 10
 DEFAULT_MAX_SET_DEPTH = 4
@@ -57,8 +60,10 @@ _MAX_AXES = 32
 # A binding is (name, axis, values): the variable ranges over the int64
 # array `values`, laid along table axis `axis`.  A sliced atom variable is
 # bound to one atom as a one-value slice, so its axis stays size 1; the
-# variables of a join's rows share one axis, each with its values.
-_Binding = tuple[str, int, np.ndarray]
+# variables of a join's rows share one axis, each with its values.  A set
+# that a comprehension defines has axis None and one value for each cell
+# of the axes open when it was bound, shaped for them.
+_Binding = tuple[str, int | None, np.ndarray]
 
 # Truth function on Python bools, and the same function on bool tables.
 _CONNECTIVES = {And: (and_, np.logical_and), Or: (or_, np.logical_or),
@@ -156,12 +161,29 @@ def evaluate(model: FiniteModel, f: Formula, env: dict[str, int] | None = None,
     if missing:
         raise ValueError(f"unbound variables: {sorted(missing)}")
     for name, val in env.items():
+        if type(val) is not int:
+            raise ValueError(f"env value for {name} must be an int")
         if not 0 <= val < (1 << model.n):
             raise ValueError(f"env value out of range for {name}")
         if _name_sort(name) is False and not model.is_atom(val):
             raise ValueError(f"atom variable {name} must be bound to an atom")
     arr = _Evaluator(model, max_cells).eval(f, (), 0, env)
     return bool(arr.reshape(()))
+
+
+def _comprehension(c: Formula, names: list[str]) -> tuple | None:
+    """(X, x, phi) when c is ``all1 x. X(x) <-> phi`` either way round, X
+    is one of names and phi does not read X; else None."""
+    if type(c) is not ForallAtom or type(c.body) is not Iff:
+        return None
+    for mem, phi in ((c.body.left, c.body.right), (c.body.right, c.body.left)):
+        if (type(mem) is Mem and isinstance(mem.atom, Variable)
+                and mem.atom.name == c.var
+                and isinstance(mem.container, Variable)
+                and mem.container.name in names
+                and mem.container.name not in summary(phi).free):
+            return mem.container.name, c.var, phi
+    return None
 
 
 class _Evaluator:
@@ -208,38 +230,61 @@ class _Evaluator:
             return self._join(f, binds, naxes, env)
         return self._atomic(f, binds, naxes, env)
 
-    def _plan(self, f: Binder) -> tuple[list[str], list[tuple[int, Formula]]]:
-        """The run of same-kind binders of one sort that f opens, and the
-        parts of its body, each with the index of the last of those
-        variables it reads.  Parts run in order of that index, then of
-        set-binder and binder nesting, so that cheap parts thin the rows
-        first.  An atom block's body is one part.  A body of one part is
-        not walked: it is taken to read every variable, which costs
-        nothing, since an axis it does not read keeps size 1.  Of several
-        parts, a set variable that none reads is dropped: its binder is
-        vacuous, as 2^n >= 1 sets are there to pick.  An atom block keeps
-        every variable, since at n = 0 there is no atom to pick."""
+    def _plan(self, f: Binder) -> tuple:
+        """The run of same-kind binders of one sort that f opens, the parts
+        of its body, each with the index of the last of those variables it
+        reads, and what a comprehension defines, if anything.  Parts run in
+        order of that index, then of set-binder and binder nesting, so that
+        cheap parts thin the rows first.  An atom block's body is one part.
+        A body of one part is not walked but taken to read every variable,
+        at no cost: an axis it does not read keeps size 1.  Of several
+        parts, a set variable that none reads is dropped, as 2^n >= 1 sets
+        are there to pick; an atom block keeps every variable, since at
+        n = 0 there is no atom to pick.  A comprehension ``all1 x. X(x) <->
+        phi`` (either way round, phi not reading X), a part under ex2 or
+        the antecedent of one under all2, moves X to a block of its own
+        inside the others.  There, by the one-point rule ex2 X. (X = t &
+        psi) == psi[X := t] == all2 X. (X = t -> psi), defined is
+        (X, x, phi), X gets no axis, and the part becomes true (psi under
+        all2)."""
         names, body = [], f
         while (isinstance(body, Binder) and body.over_sets == f.over_sets
                and body.exists == f.exists and body.var not in names):
             names.append(body.var)
             body = body.body
-        parts = [body]
+        parts, defined = [body], ()
         if f.over_sets:
-            parts = self._split(body, f.exists, len(names) > 1)
-        if len(parts) == 1:
-            return names, [(len(names) - 1, body)]
+            exists = f.exists
+            parts = self._split(body, exists, len(names) > 1)
+            for i, g in enumerate(parts):
+                if type(g) is not (ForallAtom if exists else Implies):
+                    continue
+                found = _comprehension(g if exists else g.left, names)
+                if found and len(names) > 1:
+                    names.remove(found[0])
+                    inner = type(f)(found[0], body)
+                    return names, [(len(names) - 1, inner)], ()
+                if found:
+                    defined = found
+                    parts[i] = TRUE if exists else g.right
+                    break
+        if len(parts) == 1 and not defined:
+            return names, [(len(names) - 1, body)], defined
         summaries = [summary(g) for g in parts]
         if f.over_sets:
             read = frozenset().union(*(s.free for s in summaries))
             names = [v for v in names if v in read]
+            if defined:
+                # X, the block's one variable, gets no axis, nor a set if
+                # unread
+                names, defined = [], defined if names else ()
         keyed = []
         for g, s in zip(parts, summaries):
             level = max([i for i, v in enumerate(names) if v in s.free],
                         default=-1)
             keyed.append((level, s.set_nesting, s.binder_nesting, len(keyed),
                           g))
-        return names, [(k[0], k[-1]) for k in sorted(keyed)]
+        return names, [(k[0], k[-1]) for k in sorted(keyed)], defined
 
     def _split(self, f: Formula, exists: bool, deep: bool) -> list[Formula]:
         """The parts of f's And chain (Or chain when not exists).  When
@@ -270,10 +315,11 @@ class _Evaluator:
 
     def _join(self, f: Binder, binds: tuple[_Binding, ...], naxes: int,
               env: dict) -> np.ndarray:
-        """Run the block that f opens over n atoms or 2^n sets: once or,
-        when an atom block's table would exceed _SLICE_CELLS, once per
-        value of its sliced variables, each bound as a one-value slice,
-        until one run settles the block."""
+        """Run the block that f opens over n atoms or 2^n sets (a set that a
+        comprehension defines over none): once or, when an atom block's
+        table would exceed _SLICE_CELLS, once per value of its sliced
+        variables, each bound as a one-value slice, until one run settles
+        the block."""
         exists = f.exists
         values = self.set_values if f.over_sets else self.atom_values
         if not len(values):
@@ -305,13 +351,15 @@ class _Evaluator:
         distinct open axes the body reads to at most _SLICE_CELLS.  The
         body is walked for its free variables only when all block
         variables and open axes together exceed the threshold."""
-        names, [(_, body)] = plan
-        sizes = {axis: len(v) for _, axis, v in binds}
+        names, [(_, body)], _ = plan
+        sizes = {axis: v.size for _, axis, v in binds}
         if n ** len(names) * prod(sizes.values()) <= _SLICE_CELLS:
             return []
         free = summary(body).free
         read = [i for i, v in enumerate(names) if v in free]
-        sizes = {axis: len(v) for name, axis, v in binds if name in free}
+        sizes = {a: size for name, axis, v in binds if name in free
+                 for a, size in (enumerate(v.shape) if axis is None
+                                 else [(axis, v.size)])}
         keep = len(read)
         while keep and n ** keep * prod(sizes.values()) > _SLICE_CELLS:
             keep -= 1
@@ -326,7 +374,10 @@ class _Evaluator:
         assignment, they move onto one row axis that the bound variables
         share.  After the last part the block's axes are reduced, or only
         dropped when each has one value."""
-        names, parts = plan
+        names, parts, defined = plan
+        if defined:
+            var, x, phi = defined
+            binds += ((var, None, self._define(x, phi, binds, naxes, env)),)
         block: list[_Binding] = []
         sizes: list[int] = []
         acc: np.ndarray | None = None
@@ -367,6 +418,22 @@ class _Evaluator:
         axes = tuple(range(naxes, acc.ndim))
         return acc.any(axis=axes) if exists else acc.all(axis=axes)
 
+    def _define(self, x: str, phi: Formula, binds: tuple[_Binding, ...],
+                naxes: int, env: dict) -> np.ndarray:
+        """The set of atoms x at which phi holds, a bitmask for each cell of
+        the open axes: phi runs over all atoms on one axis, or one atom at a
+        time when _sliced says that table is too large."""
+        atoms, n = self.atom_values, self.model.n
+        mask = self._int_const(0, naxes)
+        step = 1 if self._sliced(([x], [(0, phi)], ()), binds, n) else n or 1
+        for lo in range(0, n, step):
+            bits = atoms[lo:lo + step]
+            table = self.eval(phi, binds + ((x, naxes, bits),), naxes + 1, env)
+            self._guard(table.shape[:-1])
+            table = np.broadcast_to(table, table.shape[:-1] + bits.shape)
+            mask = mask | np.dot(table, bits)
+        return mask
+
     def _atomic(self, f: Formula, binds: tuple[_Binding, ...], naxes: int,
                 env: dict) -> np.ndarray:
         terms = terms_of(f)
@@ -400,6 +467,8 @@ class _Evaluator:
         if isinstance(t, Variable):
             for name, axis, values in reversed(binds):
                 if name == t.name:
+                    if axis is None:
+                        return values[(...,) + (None,) * (naxes - values.ndim)]
                     shape = [1] * naxes
                     shape[axis] = values.shape[0]
                     return values.reshape(shape)

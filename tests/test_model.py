@@ -9,10 +9,10 @@ import pytest
 from corpus import CORPUS, _random_sentence
 import finord.model
 from finord import (TRUE, At, AtomVar, Eq, ExistsAtom, ExistsSet, Exle, Fin,
-                    FiniteModel, ForallAtom, ForallSet, Implies, Not,
-                    ResourceLimitError, SetVar, Subset, UPSet,
-                    build_psi, build_rho, build_sum, canonical_iso_check,
-                    clear_caches, compile, conj, desugar, disj, evaluate,
+                    FiniteModel, ForallAtom, ForallSet, Iff, Implies, Mem,
+                    Not, ResourceLimitError, SetVar, Subset, UPSet, build_psi,
+                    build_rho, build_sum, canonical_iso_check, clear_caches,
+                    comp_samples, compile, conj, desugar, disj, evaluate,
                     format_formula, free_set_vars, free_vars, is_desugared,
                     is_sentence, parse, point_models, product,
                     pseudofinite_valid, relativize, satisfiable_witness,
@@ -136,6 +136,9 @@ def test_env_validation():
         evaluate(m, f, {"X": 0, "Y": 4})         # out of range
     with pytest.raises(ValueError):
         evaluate(m, parse("X(x)"), {"X": 1, "x": 3})   # non-atom for atom var
+    for val in (2.0, True):                      # not an int
+        with pytest.raises(ValueError):
+            evaluate(FiniteModel(3), parse("X sub X"), {"X": val})
     assert evaluate(m, f, {"X": 1, "Y": 3}) is True
 
 
@@ -317,7 +320,11 @@ def _random_block(rng, outer_sets, outer_atoms, over_sets):
     body is a conjunction (a disjunction under all2 and all1) of 1-4 parts
     over the block's and the outer variables.  Some parts are themselves a
     conjunction (a disjunction) under an atom binder, which may be vacuous,
-    or behind an implication; the block's last variables may go unused."""
+    or behind an implication; the block's last variables may go unused.  A
+    set block's part may be a comprehension of one of its variables, X,
+    ``all1 z. X(z) <-> phi`` either way round (under all2 the antecedent
+    of an implication), sometimes twice, whose phi reads outer and block
+    variables, has binders of its own, and sometimes reads X itself."""
     exists = rng.random() < 0.5
     names = tuple(f"{'B' if over_sets else 'b'}{i}"
                   for i in range(rng.randint(1, 3)))
@@ -326,13 +333,26 @@ def _random_block(rng, outer_sets, outer_atoms, over_sets):
     atoms = outer_atoms if over_sets else outer_atoms + used
     join = conj if exists else disj
 
-    def part(atoms):
+    def part(atoms, sets=sets):
         return _random_sentence(rng, 1, sets, atoms)
+
+    def comprehension():
+        var = rng.choice(used)
+        scope = sets if rng.random() < 0.2 else tuple(
+            v for v in sets if v != var)
+        mem, phi = Mem(AtomVar("z"), SetVar(var)), part(atoms + ("z",), scope)
+        c = ForallAtom("z", Iff(mem, phi) if rng.random() < 0.5
+                       else Iff(phi, mem))
+        return c if exists else Implies(c, part(atoms))
 
     parts = []
     for _ in range(rng.randint(1, 4)):
         roll = rng.random()
-        if roll < 0.25:
+        if over_sets and roll < 0.2:
+            parts.append(comprehension())
+            if rng.random() < 0.2:
+                parts.append(parts[-1])
+        elif roll < 0.25:
             binder = rng.choice([ExistsAtom, ForallAtom])
             parts.append(binder("z", join([part(atoms + ("z",)),
                                            part(atoms + ("z",))])))
@@ -398,7 +418,7 @@ def test_join_gives_an_unread_set_variable_no_axis(monkeypatch):
     cases = [parse("ex2 A. ex2 B. ex2 C. A = C & A sub C"),
              parse("all2 A. all2 B. all2 C. ~A = C | C sub A")]
     for f in cases:
-        names, _ = finord.model._Evaluator(FiniteModel(2), 1 << 30)._plan(f)
+        names = finord.model._Evaluator(FiniteModel(2), 1 << 30)._plan(f)[0]
         assert names == ["A", "C"]
         for n in range(4):
             _check_join(monkeypatch, FiniteModel(n), f)
@@ -423,6 +443,26 @@ def test_join_keeps_only_surviving_rows():
     answers = [evaluate(FiniteModel(10), build_rho(3, h), max_cells=1 << 21)
                for h in (1, 2, 3)]
     assert answers == [True, False, False]
+
+
+def test_join_binds_a_comprehension_to_its_one_set():
+    # at 10 atoms an axis for X0 beside Y's and Z's makes tables of 2^30
+    # cells; bound to the set it defines, X0 needs none
+    sentences = [f for _, f in comp_samples()] + [parse(
+        "all2 Y. all2 Z. all2 X0. (all1 x. X0(x) <-> Y(x) & Z(x))"
+        " -> X0 sub Y")]
+    for f in sentences:
+        assert evaluate(FiniteModel(10), f, max_cells=1 << 21) is True, f
+
+
+def test_join_keeps_a_comprehension_that_reads_its_set():
+    # phi reads X, so no set is defined and the part is kept: no set equals
+    # its own complement once there is an atom
+    f = parse("ex2 X. all1 x. X(x) <-> ~X(x)")
+    assert finord.model._Evaluator(FiniteModel(2), 1 << 30)._plan(f)[2] == ()
+    for n in range(5):
+        m = FiniteModel(n)
+        assert evaluate(m, f) is slow_evaluate(m, f) is (n == 0)
 
 
 def test_product_structure_agrees_with_glued_model():
