@@ -6,22 +6,25 @@ position of the left set strictly precedes some position of the right set.
 
 ``evaluate`` computes standard truth by exhaustive enumeration, vectorized
 with numpy over bool tables with one axis per open variable (n values for
-an atom variable, 2^n for a set variable).  Every run of same-kind binders
-of one sort is one join.  A set block's body is split into parts along its
-And chain (Or chain under all2) and, for several variables, through what
-distributes over that chain; a variable gets its axis when the first part
-that reads it runs, a set variable that no part reads gets none, and when
-few cells survive a part they are compacted onto one axis of rows shared by
-the variables bound so far.  A part ``all1 x. X(x) <-> phi`` (a conjunct
-under ex2, an antecedent under all2) where phi does not read X binds X, in
-a block of its own, to the one set phi defines: X gets no 2^n axis, and the
-part holds by construction.  An atom block's body is one part; when its
-table would exceed _SLICE_CELLS, its trailing variables are bound one atom
-at a time until the answer is settled, so that no table widens by n.
-``nodes.summary``, one walk without recursion, gives the nestings the
-limits check on entry, the free variables and nestings by which a set block
-orders its parts, and the free variables of an atom block's body when its
-slice estimate needs them.
+an atom variable, 2^n for a set variable), right-aligned: the axis opened
+k-th is dimension -1-k, so a variable's values, shaped once when it is
+bound, broadcast against every axis opened later.  Every run of same-kind
+binders of one sort is one join.  A set block's body is split into parts
+along its And chain (Or chain under all2) and, for several variables,
+through what distributes over that chain; a variable gets its axis when
+the first part that reads it runs, a set variable that no part reads gets
+none, and when few cells survive a part they are compacted onto one axis
+of rows shared by the variables bound so far.  A part ``all1 x. X(x) <->
+phi`` (a conjunct under ex2, an antecedent under all2) where phi does not
+read X moves X to the end of its block, where the join binds it to the one
+set phi defines: X gets no 2^n axis, its set compacts onto rows like any
+binding, and the part holds by construction.  An atom block's body is one
+part; when its table would exceed _SLICE_CELLS, its trailing variables are
+bound one atom at a time until the answer is settled, so that no table
+widens by n.  ``nodes.summary``, one walk without recursion, gives the
+nestings the limits check on entry, the free variables and nestings by
+which a set block orders its parts, and the free variables of an atom
+block's body when its slice estimate needs them.
 Costs are exponential and guarded by explicit limits: the nesting of
 formulas (308, as in every pass), of set quantifiers and of binders (at
 most 32, one numpy axis each), and the cells of every table, rows included.
@@ -57,13 +60,13 @@ _KEEP = 8
 # Each binder opens at most one table axis, and numpy before 2.0 allows 32.
 _MAX_AXES = 32
 
-# A binding is (name, axis, values): the variable ranges over the int64
-# array `values`, laid along table axis `axis`.  A sliced atom variable is
-# bound to one atom as a one-value slice, so its axis stays size 1; the
-# variables of a join's rows share one axis, each with its values.  A set
-# that a comprehension defines has axis None and one value for each cell
-# of the axes open when it was bound, shaped for them.
-_Binding = tuple[str, int | None, np.ndarray]
+# A binding is (name, values): the variable's int64 values, shaped for the
+# axes open when it was bound, right-aligned.  A block variable opened as
+# the k-th axis has shape (size,) + (1,) * k, a sliced atom variable is one
+# atom of size 1 there, and the variables of a join's rows share one axis,
+# each with its values.  A set that a comprehension defines has one value
+# for each cell of the axes open when it was bound.
+_Binding = tuple[str, np.ndarray]
 
 # Truth function on Python bools, and the same function on bool tables.
 _CONNECTIVES = {And: (and_, np.logical_and), Or: (or_, np.logical_or),
@@ -187,10 +190,11 @@ def _comprehension(c: Formula, names: list[str]) -> tuple | None:
 
 
 class _Evaluator:
-    """Recursive table builder.  Every array returned for a node has
-    ndim == naxes (the number of axes open at that node), with each axis
-    sized either 1 or its full length; binary connectives broadcast and
-    quantifiers reduce the axes they open, which come last."""
+    """Recursive table builder.  Axes are right-aligned: the axis opened
+    k-th sits at dimension -1-k of every array, so an array shaped for the
+    axes open when it was made broadcasts against every axis opened later,
+    and each axis is sized either 1 or its full length.  Binary connectives
+    broadcast and quantifiers reduce the axes they open, which lead."""
 
     def __init__(self, model: FiniteModel, max_cells: int):
         self.model = model
@@ -202,9 +206,9 @@ class _Evaluator:
     def eval(self, f: Formula, binds: tuple[_Binding, ...], naxes: int,
              env: dict) -> np.ndarray:
         if isinstance(f, TrueF):
-            return self._const(True, naxes)
+            return np.array(True)
         if isinstance(f, FalseF):
-            return self._const(False, naxes)
+            return np.array(False)
         if isinstance(f, Not):
             return self._neg(self.eval(f.body, binds, naxes, env))
         ops = _CONNECTIVES.get(type(f))
@@ -216,68 +220,63 @@ class _Evaluator:
             if left.size == 1:
                 c = bool(left.reshape(()))
                 if truth(c, False) == truth(c, True):
-                    return self._const(truth(c, True), naxes)
+                    return np.array(truth(c, True))
                 right = self.eval(f.right, binds, naxes, env)
                 return right if truth(c, True) else self._neg(right)
             right = self.eval(f.right, binds, naxes, env)
             if right.size == 1:
                 c = bool(right.reshape(()))
                 if truth(False, c) == truth(True, c):
-                    return self._const(truth(True, c), naxes)
+                    return np.array(truth(True, c))
                 return left if truth(True, c) else self._neg(left)
             return self._merge(table_op, left, right)
         if isinstance(f, Binder):
             return self._join(f, binds, naxes, env)
-        return self._atomic(f, binds, naxes, env)
+        return self._atomic(f, binds, env)
 
     def _plan(self, f: Binder) -> tuple:
         """The run of same-kind binders of one sort that f opens, the parts
         of its body, each with the index of the last of those variables it
-        reads, and what a comprehension defines, if anything.  Parts run in
-        order of that index, then of set-binder and binder nesting, so that
-        cheap parts thin the rows first.  An atom block's body is one part.
-        A body of one part is not walked but taken to read every variable,
-        at no cost: an axis it does not read keeps size 1.  Of several
-        parts, a set variable that none reads is dropped, as 2^n >= 1 sets
-        are there to pick; an atom block keeps every variable, since at
-        n = 0 there is no atom to pick.  A comprehension ``all1 x. X(x) <->
-        phi`` (either way round, phi not reading X), a part under ex2 or
-        the antecedent of one under all2, moves X to a block of its own
-        inside the others.  There, by the one-point rule ex2 X. (X = t &
-        psi) == psi[X := t] == all2 X. (X = t -> psi), defined is
-        (X, x, phi), X gets no axis, and the part becomes true (psi under
-        all2)."""
+        reads, and the sets that comprehensions define, by name.  Parts run
+        in order of that index, then of set-binder and binder nesting, so
+        that cheap parts thin the rows first.  An atom block's body is one
+        part.  A body of one part is not walked but taken to read every
+        variable, at no cost: an axis it does not read keeps size 1.  Of
+        several parts, a set variable that none reads is dropped, as 2^n >=
+        1 sets are there to pick; an atom block keeps every variable, since
+        at n = 0 there is no atom to pick.  A comprehension ``all1 x. X(x)
+        <-> phi`` (phi not reading X), a part under ex2 or the antecedent of
+        one under all2, moves X last and defines it as (x, phi), by the
+        one-point rule ex2 X. (X = t & psi) == psi[X := t] == all2 X. (X = t
+        -> psi): the variables phi reads count as read, and the part becomes
+        true (psi under all2)."""
         names, body = [], f
         while (isinstance(body, Binder) and body.over_sets == f.over_sets
                and body.exists == f.exists and body.var not in names):
             names.append(body.var)
             body = body.body
-        parts, defined = [body], ()
+        parts, found = [body], None
         if f.over_sets:
             exists = f.exists
             parts = self._split(body, exists, len(names) > 1)
             for i, g in enumerate(parts):
-                if type(g) is not (ForallAtom if exists else Implies):
-                    continue
-                found = _comprehension(g if exists else g.left, names)
-                if found and len(names) > 1:
-                    names.remove(found[0])
-                    inner = type(f)(found[0], body)
-                    return names, [(len(names) - 1, inner)], ()
+                found = (type(g) is (ForallAtom if exists else Implies)
+                         and _comprehension(g if exists else g.left, names))
                 if found:
-                    defined = found
+                    names.remove(found[0])
+                    names.append(found[0])
                     parts[i] = TRUE if exists else g.right
                     break
-        if len(parts) == 1 and not defined:
-            return names, [(len(names) - 1, body)], defined
+        if len(parts) == 1 and not found:
+            return names, [(len(names) - 1, body)], {}
         summaries = [summary(g) for g in parts]
+        defined = {}
         if f.over_sets:
             read = frozenset().union(*(s.free for s in summaries))
+            if found and found[0] in read:
+                defined = {found[0]: found[1:]}
+                read |= summary(found[2]).free
             names = [v for v in names if v in read]
-            if defined:
-                # X, the block's one variable, gets no axis, nor a set if
-                # unread
-                names, defined = [], defined if names else ()
         keyed = []
         for g, s in zip(parts, summaries):
             level = max([i for i, v in enumerate(names) if v in s.free],
@@ -323,12 +322,14 @@ class _Evaluator:
         exists = f.exists
         values = self.set_values if f.over_sets else self.atom_values
         if not len(values):
-            return self._const(not exists, naxes)
+            return np.array(not exists)
         plan = self.plans.get(id(f))
         if plan is None:
             plan = self.plans[id(f)] = self._plan(f)
-        domains = [values] * len(plan[0])
-        sliced = [] if f.over_sets else self._sliced(plan, binds, len(values))
+        names, parts, _ = plan
+        domains = [values] * len(names)
+        sliced = [] if f.over_sets else self._sliced(names, parts[0][1], binds,
+                                                     len(values))
         if not sliced:
             return self._run(exists, plan, domains, binds, naxes, env)
         op = np.logical_or if exists else np.logical_and
@@ -342,81 +343,92 @@ class _Evaluator:
                     return table
                 continue
             acc = table if acc is None else self._merge(op, acc, table)
-        return acc if acc is not None else self._const(not exists, naxes)
+        return acc if acc is not None else np.array(not exists)
 
-    def _sliced(self, plan: tuple, binds: tuple[_Binding, ...],
-                n: int) -> list[int]:
-        """The fewest trailing variables of an atom block that its body
-        reads and that, sliced, bring n^(read variables left) times the
-        distinct open axes the body reads to at most _SLICE_CELLS.  The
-        body is walked for its free variables only when all block
-        variables and open axes together exceed the threshold."""
-        names, [(_, body)], _ = plan
-        sizes = {axis: v.size for _, axis, v in binds}
-        if n ** len(names) * prod(sizes.values()) <= _SLICE_CELLS:
+    def _sliced(self, names: list[str], body: Formula,
+                binds: tuple[_Binding, ...], n: int) -> list[int]:
+        """The fewest trailing variables of an atom block that body reads
+        and that, sliced, bring n^(read variables left) times the distinct
+        open axes the body reads to at most _SLICE_CELLS.  The body is
+        walked for its free variables only when all block variables and
+        open axes together exceed the threshold."""
+        def cells(read) -> int:
+            return prod({axis: size for name, v in binds if read(name)
+                         for axis, size in enumerate(reversed(v.shape))
+                         if size > 1}.values())
+
+        if n ** len(names) * cells(lambda name: True) <= _SLICE_CELLS:
             return []
         free = summary(body).free
         read = [i for i, v in enumerate(names) if v in free]
-        sizes = {a: size for name, axis, v in binds if name in free
-                 for a, size in (enumerate(v.shape) if axis is None
-                                 else [(axis, v.size)])}
+        open_cells = cells(free.__contains__)
         keep = len(read)
-        while keep and n ** keep * prod(sizes.values()) > _SLICE_CELLS:
+        while keep and n ** keep * open_cells > _SLICE_CELLS:
             keep -= 1
         return read[keep:]
 
     def _run(self, exists: bool, plan: tuple, domains: list[np.ndarray],
              binds: tuple[_Binding, ...], naxes: int, env: dict) -> np.ndarray:
         """One run of a block, each variable over its domain.  A variable
-        gets its own axis when the first part that reads it runs, and each
-        part is merged into acc.  When at most 1/_KEEP of the cells stay
-        undecided (true under ex, false under all) for some outer
-        assignment, they move onto one row axis that the bound variables
-        share.  After the last part the block's axes are reduced, or only
-        dropped when each has one value."""
+        gets its own axis when the first part that reads it runs, a defined
+        set none, and each part is merged into acc.  When at most 1/_KEEP of
+        the cells stay undecided (true under ex, false under all) for some
+        outer assignment, they move onto one row axis that the bound
+        variables share.  After the last part the block's axes are reduced,
+        or only dropped when each has one value."""
         names, parts, defined = plan
-        if defined:
-            var, x, phi = defined
-            binds += ((var, None, self._define(x, phi, binds, naxes, env)),)
         block: list[_Binding] = []
         sizes: list[int] = []
         acc: np.ndarray | None = None
         for i, (level, g) in enumerate(parts):
             while len(block) <= level:
-                values = domains[len(block)]
-                block.append((names[len(block)], naxes + len(sizes), values))
-                sizes.append(len(values))
-                acc = None if acc is None else acc[..., None]
+                name, k = names[len(block)], naxes + len(sizes)
+                if name in defined:
+                    values = self._define(*defined[name], binds + tuple(block),
+                                          k, env)
+                else:
+                    values = domains[len(block)].reshape((-1,) + (1,) * k)
+                    sizes.append(len(values))
+                block.append((name, values))
             table = self.eval(g, binds + tuple(block), naxes + len(sizes), env)
             if table.size == 1:
                 # one value for every cell: it settles the block or
                 # leaves acc as it is
                 if bool(table.reshape(())) != exists:
-                    return self._const(not exists, naxes)
+                    return np.array(not exists)
                 continue
             acc = table if acc is None else self._merge(
                 np.logical_and if exists else np.logical_or, acc, table)
             if not sizes or i + 1 == len(parts):
                 continue
             live = acc if exists else ~acc
-            if naxes:
-                live = live.any(axis=tuple(range(naxes)))
+            outer = tuple(range(-min(naxes, live.ndim), 0))
+            if outer:
+                live = live.any(axis=outer)
             count = np.count_nonzero(live) * prod(sizes) // live.size
             if not count:
-                return self._const(not exists, naxes)
+                return np.array(not exists)
             if _KEEP * count <= prod(sizes):
-                self._guard(acc.shape[:naxes] + (count,))
-                rows = np.nonzero(np.broadcast_to(live, sizes))
-                block = [(name, naxes, values[rows[axis - naxes]])
-                         for name, axis, values in block]
-                acc = np.broadcast_to(acc, acc.shape[:naxes] + tuple(sizes))
-                acc, sizes = acc[(Ellipsis,) + rows], [count]
+                lead = tuple(reversed(sizes))
+                rows = np.nonzero(np.broadcast_to(live, lead))
+                block = [(name, self._compact(v, rows, lead, naxes))
+                         for name, v in block]
+                acc, sizes = self._compact(acc, rows, lead, naxes), [count]
         if acc is None:
-            return self._const(exists, naxes)
-        if max(acc.shape[naxes:], default=1) == 1:
-            return acc.reshape(acc.shape[:naxes])
-        axes = tuple(range(naxes, acc.ndim))
+            return np.array(exists)
+        axes = tuple(range(acc.ndim - naxes))
+        if max(acc.shape[:len(axes)], default=1) == 1:
+            return acc.reshape(acc.shape[len(axes):])
         return acc.any(axis=axes) if exists else acc.all(axis=axes)
+
+    def _compact(self, v: np.ndarray, rows: tuple[np.ndarray, ...],
+                 lead: tuple[int, ...], naxes: int) -> np.ndarray:
+        """v, shaped for naxes open axes and the block axes lead before
+        them, with the block axes replaced by one axis of the cells that
+        rows picks."""
+        v = v[(None,) * (len(lead) + naxes - v.ndim)]
+        self._guard((len(rows[0]),) + v.shape[len(lead):])
+        return np.broadcast_to(v, lead + v.shape[len(lead):])[rows]
 
     def _define(self, x: str, phi: Formula, binds: tuple[_Binding, ...],
                 naxes: int, env: dict) -> np.ndarray:
@@ -424,24 +436,23 @@ class _Evaluator:
         the open axes: phi runs over all atoms on one axis, or one atom at a
         time when _sliced says that table is too large."""
         atoms, n = self.atom_values, self.model.n
-        mask = self._int_const(0, naxes)
-        step = 1 if self._sliced(([x], [(0, phi)], ()), binds, n) else n or 1
+        mask = np.array(0)
+        step = 1 if self._sliced([x], phi, binds, n) else n or 1
         for lo in range(0, n, step):
-            bits = atoms[lo:lo + step]
-            table = self.eval(phi, binds + ((x, naxes, bits),), naxes + 1, env)
-            self._guard(table.shape[:-1])
-            table = np.broadcast_to(table, table.shape[:-1] + bits.shape)
-            mask = mask | np.dot(table, bits)
+            bits = atoms[lo:lo + step].reshape((-1,) + (1,) * naxes)
+            table = self.eval(phi, binds + ((x, bits),), naxes + 1, env)
+            self._guard(np.broadcast(table, bits).shape[1:])
+            mask = mask | np.where(table, bits, 0).sum(axis=0)
         return mask
 
-    def _atomic(self, f: Formula, binds: tuple[_Binding, ...], naxes: int,
+    def _atomic(self, f: Formula, binds: tuple[_Binding, ...],
                 env: dict) -> np.ndarray:
         terms = terms_of(f)
         if not terms:
             raise TypeError(f"not a formula: {f!r}")
-        args = [self._term(t, binds, naxes, env) for t in terms]
+        args = [self._term(t, binds, env) for t in terms]
         if any(a is None for a in args):
-            return self._const(False, naxes)
+            return np.array(False)
         if isinstance(f, At):
             return self.pop[args[0]] == 1
         a, b = args
@@ -452,36 +463,25 @@ class _Evaluator:
         # inclusion, and membership as the inclusion of an atom
         return self._merge(lambda x, y: (x & ~y) == 0, a, b)
 
-    def _term(self, t: Term, binds: tuple[_Binding, ...], naxes: int,
-              env: dict):
+    def _term(self, t: Term, binds: tuple[_Binding, ...], env: dict):
         """An int array shaped for the open axes, or None when the term is
         undefined (endpoint constants in the empty order)."""
         if isinstance(t, Bot):
-            return self._int_const(0, naxes)
+            return np.array(0)
         if isinstance(t, MinAtom):
             v = self.model.least_atom()
-            return None if v is None else self._int_const(v, naxes)
+            return None if v is None else np.array(v)
         if isinstance(t, MaxAtom):
             v = self.model.greatest_atom()
-            return None if v is None else self._int_const(v, naxes)
+            return None if v is None else np.array(v)
         if isinstance(t, Variable):
-            for name, axis, values in reversed(binds):
+            for name, values in reversed(binds):
                 if name == t.name:
-                    if axis is None:
-                        return values[(...,) + (None,) * (naxes - values.ndim)]
-                    shape = [1] * naxes
-                    shape[axis] = values.shape[0]
-                    return values.reshape(shape)
+                    return values
             if t.name in env:
-                return self._int_const(env[t.name], naxes)
+                return np.array(env[t.name])
             raise ValueError(f"unbound variable {t.name}")
         raise TypeError(f"not a term: {t!r}")
-
-    def _const(self, value: bool, naxes: int) -> np.ndarray:
-        return np.array(bool(value), ndmin=naxes)
-
-    def _int_const(self, value: int, naxes: int) -> np.ndarray:
-        return np.array(value, dtype=np.int64, ndmin=naxes)
 
     def _guard(self, shape: tuple[int, ...]) -> None:
         cells = prod(shape)
@@ -492,11 +492,9 @@ class _Evaluator:
     # Every bool table returned by eval() is freshly allocated for exactly
     # one parent node, so a full-shaped operand can safely serve as the
     # output buffer; this keeps conjunction chains at one live table.
-    # Operands have one ndim and each axis is 1 or full, so the broadcast
-    # shape is the larger size per axis.
 
     def _merge(self, op, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        shape = tuple(map(max, a.shape, b.shape))
+        shape = np.broadcast(a, b).shape
         self._guard(shape)
         if a.shape == shape and a.dtype == bool and a.flags.writeable:
             return op(a, b, out=a)

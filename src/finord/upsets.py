@@ -63,12 +63,13 @@ class UPSet:
         return not self.init and not self.residues
 
     def min_element(self) -> int | None:
-        """Least member, None when the set is empty: the residues repeat
-        after one period past the threshold."""
-        for n in range(self.threshold + self.period):
-            if self.member(n):
-                return n
-        return None
+        """Least member, None when the set is empty: the least of init, or
+        else the first member of one period from the threshold on, where
+        residue r first occurs at threshold + (r - threshold) mod period."""
+        if self.init:
+            return min(self.init)
+        return min((self.threshold + (r - self.threshold) % self.period
+                    for r in self.residues), default=None)
 
     def canonicalize(self) -> "UPSet":
         """Minimal period (a divisor of the current one), then minimal threshold."""

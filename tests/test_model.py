@@ -8,13 +8,13 @@ import pytest
 
 from corpus import CORPUS, _random_sentence
 import finord.model
-from finord import (TRUE, At, AtomVar, Eq, ExistsAtom, ExistsSet, Exle, Fin,
-                    FiniteModel, ForallAtom, ForallSet, Iff, Implies, Mem,
-                    Not, ResourceLimitError, SetVar, Subset, UPSet, build_psi,
-                    build_rho, build_sum, canonical_iso_check, clear_caches,
-                    comp_samples, compile, conj, desugar, disj, evaluate,
-                    format_formula, free_set_vars, free_vars, is_desugared,
-                    is_sentence, parse, point_models, product,
+from finord import (TRUE, And, At, AtomVar, Eq, ExistsAtom, ExistsSet, Exle,
+                    Fin, FiniteModel, ForallAtom, ForallSet, Iff, Implies, Mem,
+                    Not, Or, ResourceLimitError, SetVar, Subset, UPSet,
+                    build_psi, build_rho, build_sum, canonical_iso_check,
+                    clear_caches, comp_samples, compile, conj, desugar, disj,
+                    evaluate, format_formula, free_set_vars, free_vars,
+                    is_desugared, is_sentence, parse, point_models, product,
                     pseudofinite_valid, relativize, satisfiable_witness,
                     slow_evaluate, spectrum)
 from finord.formula.nodes import all_identifiers, summary
@@ -324,7 +324,10 @@ def _random_block(rng, outer_sets, outer_atoms, over_sets):
     set block's part may be a comprehension of one of its variables, X,
     ``all1 z. X(z) <-> phi`` either way round (under all2 the antecedent
     of an implication), sometimes twice, whose phi reads outer and block
-    variables, has binders of its own, and sometimes reads X itself."""
+    variables, has binders of its own, and sometimes reads X itself.  Or,
+    in a block of several variables, phi reads another block variable, so
+    that X is bound after it, and two more parts read X, so that rows
+    compact while X is bound."""
     exists = rng.random() < 0.5
     names = tuple(f"{'B' if over_sets else 'b'}{i}"
                   for i in range(rng.randint(1, 3)))
@@ -336,20 +339,29 @@ def _random_block(rng, outer_sets, outer_atoms, over_sets):
     def part(atoms, sets=sets):
         return _random_sentence(rng, 1, sets, atoms)
 
-    def comprehension():
-        var = rng.choice(used)
-        scope = sets if rng.random() < 0.2 else tuple(
+    def comprehension(var, other=None):
+        scope = sets if other is None and rng.random() < 0.2 else tuple(
             v for v in sets if v != var)
         mem, phi = Mem(AtomVar("z"), SetVar(var)), part(atoms + ("z",), scope)
+        if other is not None:
+            phi = rng.choice((And, Or, Iff))(Mem(AtomVar("z"), SetVar(other)),
+                                             phi)
         c = ForallAtom("z", Iff(mem, phi) if rng.random() < 0.5
                        else Iff(phi, mem))
         return c if exists else Implies(c, part(atoms))
 
+    def reading(var):
+        pair = (SetVar(var), SetVar(rng.choice(sets)))[::rng.choice((1, -1))]
+        return Iff(rng.choice((Subset, Eq, Exle))(*pair), part(atoms))
+
     parts = []
     for _ in range(rng.randint(1, 4)):
         roll = rng.random()
-        if over_sets and roll < 0.2:
-            parts.append(comprehension())
+        if over_sets and roll < 0.2 and len(used) > 1 and rng.random() < 0.5:
+            var, other = rng.sample(used, 2)
+            parts += [comprehension(var, other), reading(var), reading(var)]
+        elif over_sets and roll < 0.2:
+            parts.append(comprehension(rng.choice(used)))
             if rng.random() < 0.2:
                 parts.append(parts[-1])
         elif roll < 0.25:
@@ -456,10 +468,11 @@ def test_join_binds_a_comprehension_to_its_one_set():
 
 
 def test_join_keeps_a_comprehension_that_reads_its_set():
-    # phi reads X, so no set is defined and the part is kept: no set equals
-    # its own complement once there is an atom
+    # phi reads X, so no set is defined (the plan's sets by name are empty)
+    # and the part is kept: no set equals its own complement once there is
+    # an atom
     f = parse("ex2 X. all1 x. X(x) <-> ~X(x)")
-    assert finord.model._Evaluator(FiniteModel(2), 1 << 30)._plan(f)[2] == ()
+    assert finord.model._Evaluator(FiniteModel(2), 1 << 30)._plan(f)[2] == {}
     for n in range(5):
         m = FiniteModel(n)
         assert evaluate(m, f) is slow_evaluate(m, f) is (n == 0)

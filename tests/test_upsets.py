@@ -1,6 +1,7 @@
 """Ultimately periodic sets: canonical form, Boolean algebra, sums."""
 
 import random
+import time
 
 import pytest
 
@@ -38,6 +39,21 @@ def test_membership():
     assert UPSet.empty().is_empty()
     assert not UPSet.naturals().is_empty()
     assert UPSet.from_finite([4, 1]).members_upto(10) == [1, 4]
+
+
+def test_min_element_reads_init_and_one_period():
+    # with init empty the least member is read off the residues, with no
+    # walk up to a threshold of 10^12
+    far = parse_upset("UP(init={};N=1000000000000;d=1;res={0})")
+    started = time.perf_counter()
+    assert far.min_element() == 10 ** 12
+    assert time.perf_counter() - started < 1
+    assert parse_upset("UP(init={};N=9;d=5;res={1,3})").min_element() == 11
+    rng = random.Random(43)
+    for _ in range(300):
+        s = _random_upset(rng)
+        want = s.members_upto(s.threshold + s.period)
+        assert s.min_element() == (want[0] if want else None), s
 
 
 def test_canonicalize_examples():
