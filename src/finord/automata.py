@@ -10,9 +10,10 @@ products and subset constructions feed Moore refinement (``_minimal``)
 directly, and ``minimize`` is the entry for hand-built automata.  One
 breadth-first discovery loop, ``_explore``, builds every automaton: the
 product, the subset construction, the canonical renumbering after
-minimization, and the lasso walk.  It alone reads the state cap,
+minimization, and the lasso walk.  It reads the state cap,
 ``effective_state_cap()``: ``FINORD_STATE_CAP`` if set, else the default,
-read at first use and again after ``compiler.clear_caches()``.  The cap
+read at first use and again after ``compiler.clear_caches()``; so do the
+Boolean operations on ``UPSet``, whose window is a unary lasso.  The cap
 bounds what a call builds, hand-built operands included; memoized answers
 (spectra, atomic shapes, type machines) stand whatever the cap, and
 refusals are never memoized.  One step, ``_fact_step``, reads

@@ -24,7 +24,11 @@ bound one atom at a time until the answer is settled, so that no table
 widens by n.  ``nodes.summary``, one walk without recursion, gives the
 nestings the limits check on entry, the free variables and nestings by
 which a set block orders its parts, and the free variables of an atom
-block's body when its slice estimate needs them.
+block's body that its slice estimate reads.  None of this depends on the
+model, so each fact is stored on its node the first time it is needed, as
+the node's hash is, and read by every later call at any size: the entry
+summary on the node ``evaluate`` is given, a block's plan on its binder.
+``==``, ``hash``, ``repr`` and ``pickle`` read only a node's fields.
 Costs are exponential and guarded by explicit limits: the nesting of
 formulas (308, as in every pass), of set quantifiers and of binders (at
 most 32, one numpy axis each), and the cells of every table, rows included.
@@ -155,7 +159,9 @@ def evaluate(model: FiniteModel, f: Formula, env: dict[str, int] | None = None,
     """Standard truth of f in the model, free variables read from env."""
     if model.n > max_n:
         raise ResourceLimitError(f"model size {model.n} exceeds limit {max_n}")
-    s = summary(f)
+    if not isinstance(f, Formula):
+        raise TypeError(f"not a formula: {f!r}")
+    s = _stored(f, "_summary", summary)
     _check_nesting("formula", s.depth)
     _check_nesting("set quantifier", s.set_nesting, max_set_depth)
     _check_nesting("binder", s.binder_nesting, _MAX_AXES)
@@ -174,6 +180,15 @@ def evaluate(model: FiniteModel, f: Formula, env: dict[str, int] | None = None,
     return bool(arr.reshape(()))
 
 
+def _stored(f: Formula, name: str, make):
+    """make(f), stored on f under name the first time it is asked for."""
+    fact = getattr(f, name, None)
+    if fact is None:
+        fact = make(f)
+        object.__setattr__(f, name, fact)
+    return fact
+
+
 def _comprehension(c: Formula, names: list[str]) -> tuple | None:
     """(X, x, phi) when c is ``all1 x. X(x) <-> phi`` either way round, X
     is one of names and phi does not read X; else None."""
@@ -189,6 +204,84 @@ def _comprehension(c: Formula, names: list[str]) -> tuple | None:
     return None
 
 
+def _plan(f: Binder) -> tuple:
+    """The run of same-kind binders of one sort that f opens, the parts of
+    its body, each with the index of the last of those variables it reads,
+    the sets that comprehensions define, by name, and the free variables
+    of an atom block's body (None in a set block).  Parts run in order of
+    that index, then of set-binder and binder nesting, so that cheap parts
+    thin the rows first.  An atom block's body is one part.  A set block's
+    body of one part is not walked but taken to read every variable, at no
+    cost: an axis it does not read keeps size 1.  Of several parts, a set
+    variable that none reads is dropped, as 2^n >= 1 sets are there to
+    pick; an atom block keeps every variable, since at n = 0 there is no
+    atom to pick.  A comprehension ``all1 x. X(x) <-> phi`` (phi not
+    reading X), a part under ex2 or the antecedent of one under all2, moves
+    X last and defines it as (x, phi, the free variables of phi), by the
+    one-point rule ex2 X. (X = t & psi) == psi[X := t] == all2 X. (X = t ->
+    psi): the variables phi reads count as read, and the part becomes true
+    (psi under all2)."""
+    names, body = [], f
+    while (isinstance(body, Binder) and body.over_sets == f.over_sets
+           and body.exists == f.exists and body.var not in names):
+        names.append(body.var)
+        body = body.body
+    if not f.over_sets:
+        return names, [(len(names) - 1, body)], {}, summary(body).free
+    exists, found = f.exists, None
+    parts = _split(body, exists, len(names) > 1)
+    for i, g in enumerate(parts):
+        found = (type(g) is (ForallAtom if exists else Implies)
+                 and _comprehension(g if exists else g.left, names))
+        if found:
+            names.remove(found[0])
+            names.append(found[0])
+            parts[i] = TRUE if exists else g.right
+            break
+    if len(parts) == 1 and not found:
+        return names, [(len(names) - 1, body)], {}, None
+    summaries = [summary(g) for g in parts]
+    defined = {}
+    read = frozenset().union(*(s.free for s in summaries))
+    if found and found[0] in read:
+        free = summary(found[2]).free
+        defined = {found[0]: (*found[1:], free)}
+        read |= free
+    names = [v for v in names if v in read]
+    keyed = []
+    for g, s in zip(parts, summaries):
+        level = max([i for i, v in enumerate(names) if v in s.free],
+                    default=-1)
+        keyed.append((level, s.set_nesting, s.binder_nesting, len(keyed), g))
+    return names, [(k[0], k[-1]) for k in sorted(keyed)], defined, None
+
+
+def _split(f: Formula, exists: bool, deep: bool) -> list[Formula]:
+    """The parts of f's And chain (Or chain when not exists).  When deep,
+    that is when the block has several variables, a part is split further
+    through what distributes over the chain: an atom binder of the other
+    kind, which stays on every piece so that a vacuous one keeps its
+    meaning at size 0, and an implication's right side.  The pieces can
+    then run as soon as their own variables are bound."""
+    parts, stack = [], [f]
+    while stack:
+        g = stack.pop()
+        if type(g) is (And if exists else Or):
+            stack += (g.right, g.left)
+            continue
+        implies = type(g) is Implies
+        pieces = [g]
+        if deep and (implies or isinstance(g, Binder) and not g.over_sets
+                     and g.exists != exists):
+            pieces = _split(g.right if implies else g.body, exists, deep)
+        if len(pieces) == 1:
+            parts.append(g)
+            continue
+        parts += [rebuild(g, (g.left, h) if implies else (h,))
+                  for h in pieces]
+    return parts
+
+
 class _Evaluator:
     """Recursive table builder.  Axes are right-aligned: the axis opened
     k-th sits at dimension -1-k of every array, so an array shaped for the
@@ -199,7 +292,6 @@ class _Evaluator:
     def __init__(self, model: FiniteModel, max_cells: int):
         self.model = model
         self.max_cells = max_cells
-        self.plans: dict[int, tuple] = {}
         self.set_values, self.atom_values = _tables(model.n)[:2]
         self.low, self.high, self.pop = model.bit_tables()
 
@@ -234,84 +326,6 @@ class _Evaluator:
             return self._join(f, binds, naxes, env)
         return self._atomic(f, binds, env)
 
-    def _plan(self, f: Binder) -> tuple:
-        """The run of same-kind binders of one sort that f opens, the parts
-        of its body, each with the index of the last of those variables it
-        reads, and the sets that comprehensions define, by name.  Parts run
-        in order of that index, then of set-binder and binder nesting, so
-        that cheap parts thin the rows first.  An atom block's body is one
-        part.  A body of one part is not walked but taken to read every
-        variable, at no cost: an axis it does not read keeps size 1.  Of
-        several parts, a set variable that none reads is dropped, as 2^n >=
-        1 sets are there to pick; an atom block keeps every variable, since
-        at n = 0 there is no atom to pick.  A comprehension ``all1 x. X(x)
-        <-> phi`` (phi not reading X), a part under ex2 or the antecedent of
-        one under all2, moves X last and defines it as (x, phi), by the
-        one-point rule ex2 X. (X = t & psi) == psi[X := t] == all2 X. (X = t
-        -> psi): the variables phi reads count as read, and the part becomes
-        true (psi under all2)."""
-        names, body = [], f
-        while (isinstance(body, Binder) and body.over_sets == f.over_sets
-               and body.exists == f.exists and body.var not in names):
-            names.append(body.var)
-            body = body.body
-        parts, found = [body], None
-        if f.over_sets:
-            exists = f.exists
-            parts = self._split(body, exists, len(names) > 1)
-            for i, g in enumerate(parts):
-                found = (type(g) is (ForallAtom if exists else Implies)
-                         and _comprehension(g if exists else g.left, names))
-                if found:
-                    names.remove(found[0])
-                    names.append(found[0])
-                    parts[i] = TRUE if exists else g.right
-                    break
-        if len(parts) == 1 and not found:
-            return names, [(len(names) - 1, body)], {}
-        summaries = [summary(g) for g in parts]
-        defined = {}
-        if f.over_sets:
-            read = frozenset().union(*(s.free for s in summaries))
-            if found and found[0] in read:
-                defined = {found[0]: found[1:]}
-                read |= summary(found[2]).free
-            names = [v for v in names if v in read]
-        keyed = []
-        for g, s in zip(parts, summaries):
-            level = max([i for i, v in enumerate(names) if v in s.free],
-                        default=-1)
-            keyed.append((level, s.set_nesting, s.binder_nesting, len(keyed),
-                          g))
-        return names, [(k[0], k[-1]) for k in sorted(keyed)], defined
-
-    def _split(self, f: Formula, exists: bool, deep: bool) -> list[Formula]:
-        """The parts of f's And chain (Or chain when not exists).  When
-        deep, that is when the block has several variables, a part is
-        split further through what distributes over the chain: an atom
-        binder of the other kind, which stays on every piece so that a
-        vacuous one keeps its meaning at size 0, and an implication's
-        right side.  The pieces can then run as soon as their own
-        variables are bound."""
-        parts, stack = [], [f]
-        while stack:
-            g = stack.pop()
-            if type(g) is (And if exists else Or):
-                stack += (g.right, g.left)
-                continue
-            implies = type(g) is Implies
-            pieces = [g]
-            if deep and (implies or isinstance(g, Binder) and not g.over_sets
-                         and g.exists != exists):
-                pieces = self._split(g.right if implies else g.body, exists,
-                                     deep)
-            if len(pieces) == 1:
-                parts.append(g)
-                continue
-            parts += [rebuild(g, (g.left, h) if implies else (h,))
-                      for h in pieces]
-        return parts
-
     def _join(self, f: Binder, binds: tuple[_Binding, ...], naxes: int,
               env: dict) -> np.ndarray:
         """Run the block that f opens over n atoms or 2^n sets (a set that a
@@ -323,12 +337,10 @@ class _Evaluator:
         values = self.set_values if f.over_sets else self.atom_values
         if not len(values):
             return np.array(not exists)
-        plan = self.plans.get(id(f))
-        if plan is None:
-            plan = self.plans[id(f)] = self._plan(f)
-        names, parts, _ = plan
+        plan = _stored(f, "_plan", _plan)
+        names, _, _, free = plan
         domains = [values] * len(names)
-        sliced = [] if f.over_sets else self._sliced(names, parts[0][1], binds,
+        sliced = [] if f.over_sets else self._sliced(names, free, binds,
                                                      len(values))
         if not sliced:
             return self._run(exists, plan, domains, binds, naxes, env)
@@ -345,23 +357,16 @@ class _Evaluator:
             acc = table if acc is None else self._merge(op, acc, table)
         return acc if acc is not None else np.array(not exists)
 
-    def _sliced(self, names: list[str], body: Formula,
+    def _sliced(self, names: list[str], free: frozenset[str],
                 binds: tuple[_Binding, ...], n: int) -> list[int]:
-        """The fewest trailing variables of an atom block that body reads
-        and that, sliced, bring n^(read variables left) times the distinct
-        open axes the body reads to at most _SLICE_CELLS.  The body is
-        walked for its free variables only when all block variables and
-        open axes together exceed the threshold."""
-        def cells(read) -> int:
-            return prod({axis: size for name, v in binds if read(name)
-                         for axis, size in enumerate(reversed(v.shape))
-                         if size > 1}.values())
-
-        if n ** len(names) * cells(lambda name: True) <= _SLICE_CELLS:
-            return []
-        free = summary(body).free
+        """The fewest trailing variables of an atom block that its body,
+        whose free variables are free, reads and that, sliced, bring n^(read
+        variables left) times the distinct open axes the body reads to at
+        most _SLICE_CELLS."""
         read = [i for i, v in enumerate(names) if v in free]
-        open_cells = cells(free.__contains__)
+        open_cells = prod({axis: size for name, v in binds if name in free
+                           for axis, size in enumerate(reversed(v.shape))
+                           if size > 1}.values())
         keep = len(read)
         while keep and n ** keep * open_cells > _SLICE_CELLS:
             keep -= 1
@@ -376,7 +381,7 @@ class _Evaluator:
         outer assignment, they move onto one row axis that the bound
         variables share.  After the last part the block's axes are reduced,
         or only dropped when each has one value."""
-        names, parts, defined = plan
+        names, parts, defined, _ = plan
         block: list[_Binding] = []
         sizes: list[int] = []
         acc: np.ndarray | None = None
@@ -430,14 +435,15 @@ class _Evaluator:
         self._guard((len(rows[0]),) + v.shape[len(lead):])
         return np.broadcast_to(v, lead + v.shape[len(lead):])[rows]
 
-    def _define(self, x: str, phi: Formula, binds: tuple[_Binding, ...],
-                naxes: int, env: dict) -> np.ndarray:
+    def _define(self, x: str, phi: Formula, free: frozenset[str],
+                binds: tuple[_Binding, ...], naxes: int,
+                env: dict) -> np.ndarray:
         """The set of atoms x at which phi holds, a bitmask for each cell of
         the open axes: phi runs over all atoms on one axis, or one atom at a
         time when _sliced says that table is too large."""
         atoms, n = self.atom_values, self.model.n
         mask = np.array(0)
-        step = 1 if self._sliced([x], phi, binds, n) else n or 1
+        step = 1 if self._sliced([x], free, binds, n) else n or 1
         for lo in range(0, n, step):
             bits = atoms[lo:lo + step].reshape((-1,) + (1,) * naxes)
             table = self.eval(phi, binds + ((x, bits),), naxes + 1, env)

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Callable, Iterable
 
+from .formula.nodes import ResourceLimitError
+
 
 @dataclass(frozen=True)
 class UPSet:
@@ -74,10 +76,8 @@ class UPSet:
     def canonicalize(self) -> "UPSet":
         """Minimal period (a divisor of the current one), then minimal threshold."""
         d, res = self.period, self.residues
-        for e in range(1, d + 1):
-            if d % e != 0:
-                continue
-            if {(k + e) % d for k in res} == set(res):
+        for e in _divisors(d):
+            if {(k + e) % d for k in res} == res:
                 d, res = e, frozenset(k % e for k in res)
                 break
         if not res:
@@ -100,27 +100,48 @@ class UPSet:
         return UPSet(n, d, frozenset(x for x in self.init if x < n), res)
 
     def complement(self) -> "UPSet":
-        return _pointwise(self, self, lambda p, q: not p)
+        return _pointwise("complement", self, self, lambda p, q: not p)
 
     def union(self, other: "UPSet") -> "UPSet":
-        return _pointwise(self, other, lambda p, q: p or q)
+        return _pointwise("union", self, other, lambda p, q: p or q)
 
     def intersect(self, other: "UPSet") -> "UPSet":
-        return _pointwise(self, other, lambda p, q: p and q)
+        return _pointwise("intersect", self, other, lambda p, q: p and q)
 
     def difference(self, other: "UPSet") -> "UPSet":
-        return _pointwise(self, other, lambda p, q: p and not q)
+        return _pointwise("difference", self, other, lambda p, q: p and not q)
+
+
+def _divisors(d: int) -> Iterable[int]:
+    """The divisors of d in ascending order, by trial division up to the
+    square root: the small ones as they are found, then their cofactors."""
+    large, e = [], 1
+    while e * e <= d:
+        if d % e == 0:
+            yield e
+            if e * e < d:
+                large.append(d // e)
+        e += 1
+    yield from reversed(large)
 
 
 def same_set(a: UPSet, b: UPSet) -> bool:
     return a.canonicalize() == b.canonicalize()
 
 
-def _pointwise(a: UPSet, b: UPSet, op: Callable[[bool, bool], bool]) -> UPSet:
+def _pointwise(what: str, a: UPSet, b: UPSet,
+               op: Callable[[bool, bool], bool]) -> UPSet:
     # Beyond max(thresholds) both sides are periodic in lcm of the periods,
-    # so the combination is determined by one full lcm window.
+    # so the combination is determined by one full lcm window: n + d
+    # positions, the states of the result's unary automaton.
+    from .automata import effective_state_cap
+
     d = lcm(a.period, b.period)
     n = max(a.threshold, b.threshold)
+    cap = effective_state_cap()
+    if n + d > cap:
+        raise ResourceLimitError(
+            f"{what} window of {n} + {d} positions exceeds state cap {cap}")
     init = frozenset(x for x in range(n) if op(a.member(x), b.member(x)))
     res = frozenset((n + j) % d for j in range(d) if op(a.member(n + j), b.member(n + j)))
     return UPSet(n, d, init, res).canonicalize()

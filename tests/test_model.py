@@ -430,7 +430,7 @@ def test_join_gives_an_unread_set_variable_no_axis(monkeypatch):
     cases = [parse("ex2 A. ex2 B. ex2 C. A = C & A sub C"),
              parse("all2 A. all2 B. all2 C. ~A = C | C sub A")]
     for f in cases:
-        names = finord.model._Evaluator(FiniteModel(2), 1 << 30)._plan(f)[0]
+        names = finord.model._plan(f)[0]
         assert names == ["A", "C"]
         for n in range(4):
             _check_join(monkeypatch, FiniteModel(n), f)
@@ -472,10 +472,74 @@ def test_join_keeps_a_comprehension_that_reads_its_set():
     # and the part is kept: no set equals its own complement once there is
     # an atom
     f = parse("ex2 X. all1 x. X(x) <-> ~X(x)")
-    assert finord.model._Evaluator(FiniteModel(2), 1 << 30)._plan(f)[2] == {}
+    assert finord.model._plan(f)[2] == {}
     for n in range(5):
         m = FiniteModel(n)
         assert evaluate(m, f) is slow_evaluate(m, f) is (n == 0)
+
+
+def _stored_fact_sentences():
+    # set blocks of several parts (so plans hold rebuilt parts), a
+    # comprehension, atom blocks in and out of set blocks, and random
+    # sentences of rank 2
+    rng = random.Random(29)
+    return ([build_rho(2, 1), parse("all1 x. ex1 y. x << y | x = y")]
+            + [f for _, f in comp_samples()]
+            + [_random_sentence(rng, 2, (), ()) for _ in range(30)])
+
+
+def test_evaluate_plans_each_block_once(monkeypatch):
+    # the nine sizes of one formula share every plan: each binder that
+    # opens a block is planned once, at its first evaluation
+    planned = []
+
+    def plan(f):
+        planned.append(f)
+        return real(f)
+
+    real = finord.model._plan
+    monkeypatch.setattr(finord.model, "_plan", plan)
+    cases = [(parse("all1 x. ex1 y. x << y | x = y"), 2),
+             (parse("all2 Y. all2 Z. ex2 X0. all1 x. X0(x) <-> Y(x) & Z(x)"),
+              2),
+             (build_rho(2, 1), None)]
+    for f, blocks in cases:
+        planned.clear()
+        for n in range(9):
+            evaluate(FiniteModel(n), f)
+        assert len({id(g) for g in planned}) == len(planned) > 0, f
+        assert blocks is None or len(planned) == blocks, f
+        for n in range(9):
+            evaluate(FiniteModel(n), f)
+        assert len({id(g) for g in planned}) == len(planned), f
+
+
+def test_stored_facts_serve_every_size():
+    # facts stored at n = 8 answer n = 0..3, and an equal copy built
+    # separately (pickle rebuilds through the constructors) stores its own
+    for f in _stored_fact_sentences():
+        spec = spectrum(f)
+        copy = pickle.loads(pickle.dumps(f))
+        assert copy == f and copy is not f
+        assert evaluate(FiniteModel(8), f) is spec.member(8), f
+        for n in range(4):
+            m = FiniteModel(n)
+            want = slow_evaluate(m, f)
+            assert evaluate(m, f) is want, (n, f)
+            assert evaluate(m, copy) is want, (n, f)
+        assert evaluate(FiniteModel(8), copy) is spec.member(8), f
+
+
+def test_stored_facts_are_invisible():
+    for f in _stored_fact_sentences():
+        before = (hash(f), repr(f), pickle.dumps(f))
+        copy = pickle.loads(before[2])
+        for n in range(5):
+            evaluate(FiniteModel(n), f)
+        assert (hash(f), repr(f), pickle.dumps(f)) == before, f
+        assert vars(f).keys() > vars(copy).keys(), f
+        assert f == copy and copy == f, f
+        assert (hash(copy), repr(copy), pickle.dumps(copy)) == before, f
 
 
 def test_product_structure_agrees_with_glued_model():

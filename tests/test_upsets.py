@@ -5,10 +5,11 @@ import time
 
 import pytest
 
-from finord import (NormalFormDescriptor, UPSet, brute_force_oracle,
-                    format_upset, from_normal_form, minkowski_sum,
-                    minkowski_validity_bound, parse_upset, same_set,
-                    to_normal_form)
+from finord import (NormalFormDescriptor, ResourceLimitError, UPSet,
+                    brute_force_oracle, format_upset, from_normal_form,
+                    minkowski_sum, minkowski_validity_bound, parse_upset,
+                    same_set, to_normal_form)
+from finord.upsets import _divisors
 
 
 def _random_upset(rng, max_n=6, max_d=6):
@@ -126,6 +127,47 @@ def test_canonicalize_huge_threshold():
     assert s.canonicalize() == UPSet(big - 4, 2, frozenset(), frozenset([1]))
     s = UPSet(big, 1, frozenset([big - 1]), frozenset([0]))
     assert s.canonicalize() == UPSet(big - 1, 1, frozenset(), frozenset([0]))
+
+
+def test_canonicalize_huge_period():
+    # only the divisors of the period are tried, found by trial division up
+    # to its square root, smallest first
+    assert [list(_divisors(d)) for d in range(1, 200)] == [
+        [e for e in range(1, d + 1) if d % e == 0] for d in range(1, 200)]
+    far = parse_upset("UP(init={};N=0;d=1000000000000;res={0})")
+    started = time.perf_counter()
+    assert far.canonicalize() == far
+    assert time.perf_counter() - started < 1
+    s = UPSet(0, 10 ** 12, frozenset(), frozenset({0, 5 * 10 ** 11}))
+    assert s.canonicalize() == UPSet(0, 5 * 10 ** 11, frozenset(),
+                                     frozenset({0}))
+
+
+def test_boolean_ops_keep_the_state_cap(state_cap):
+    # max threshold + lcm of the periods is the result's state count, so
+    # an operation past the cap refuses before it loops
+    a = UPSet(0, 100003, frozenset(), frozenset({0}))
+    b = UPSet(0, 100019, frozenset(), frozenset({0}))
+    started = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="union window of 0 \\+ "):
+        a.union(b)
+    assert time.perf_counter() - started < 1
+    # a window of 3 + 6 or 9 + 1 positions fits a cap of 10, 3 + 8 or
+    # 10 + 1 does not
+    state_cap(10)
+    c = UPSet(3, 2, frozenset(), frozenset({1}))
+    six = UPSet(0, 6, frozenset(), frozenset({0}))
+    assert c.union(six).members_upto(20) == [0, 3, 5, 6, 7, 9, 11, 12, 13,
+                                             15, 17, 18, 19]
+    assert UPSet.from_finite([8]).complement().members_upto(10) == [
+        0, 1, 2, 3, 4, 5, 6, 7, 9]
+    eight = UPSet(0, 8, frozenset(), frozenset({0}))
+    for op in (c.union, c.intersect, c.difference):
+        with pytest.raises(ResourceLimitError,
+                           match=f"{op.__name__} window of 3 \\+ 8 "):
+            op(eight)
+    with pytest.raises(ResourceLimitError, match="complement window"):
+        UPSet.from_finite([9]).complement()
 
 
 def test_boolean_ops():
