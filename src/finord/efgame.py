@@ -20,13 +20,17 @@ minimized on its outputs, and M(k, 0)'s lasso types every size.
 Past two rounds the machines grow too large (M(1, 2) alone has 21 690
 states), and a memoized minimax over agreeing positions searches the game.
 An element's code packs its facts against the chosen tuple, and Duplicator
-answers a pick with the elements of its code.  Structures of equal size are a Duplicator
-win at once (copy every move), and with one round left Duplicator wins
-exactly when both sides realize the same set of codes.  One memo holds
-positions and code sets.  ``memo_budget`` bounds the search's work, counted
-as memo entries plus each Spoiler pick's number of candidate answers.  A
-structure of more than 20 atoms is refused at every round count, since
-every array the search makes has one entry per element, 2^n of them.
+answers a pick with the elements of its code.  A pick c appends the bits
+e = c, e ⊆ c, c ⊆ e, e ⊑ c, c ⊑ e to each e's code, so a memo miss extends
+the codes its parent passes down.  Spoiler never picks ⊥ or an entry of his
+own tuple: the forced answer adds no fact, and Duplicator wins the position
+with a round fewer when she wins every other pick (wins are monotone in the
+rounds).  Equal sizes are a Duplicator win at once (copy every move), and
+with one round left Duplicator wins exactly when both sides realize the
+same set of codes.  One memo holds positions and code sets; ``memo_budget``
+bounds the search's work, memo entries plus each Spoiler pick's candidate
+answers.  A structure of more than 20 atoms is refused at every round
+count, since every array the search makes has one entry per element.
 """
 
 from __future__ import annotations
@@ -43,26 +47,28 @@ SPOILER = "Spoiler"
 DUPLICATOR = "Duplicator"
 
 # memo entries plus candidate answers; in 3 rounds 7 and 8 atoms spend
-# 100 156, 9 and 10 spend 3 993 504 (1.5 s), and 10 and 11 are refused (5 s)
+# 40 401, 9 and 10 spend 2 974 684 (2 s), and 10 and 11 are refused (6.5 s)
 DEFAULT_MEMO_BUDGET = 2 ** 24
 # each side's codes are one int64 per element: 16 MiB at 21 atoms, 2 GiB at 28
 _MAX_ATOMS = 20
 
 
-def _codes(model: FiniteModel, t: tuple[int, ...]) -> np.ndarray:
-    """For every element e: e = ⊥, At(e), e ⊑ e, then for each entry a of t,
-    e = a, e ⊆ a, a ⊆ e, e ⊑ a, a ⊑ e.  The ⊥-variant atoms reduce to the
-    unary facts (e ⊆ ⊥ iff e = ⊥; ⊥ ⊆ e always; ⊑ and At with ⊥ never)."""
-    es, _, low, high, pop = _tables(model.n)
-    # 3 + 5·len(t) bits: past 12 entries they need Python ints
-    code = np.zeros(len(es), np.int64 if len(t) <= 12 else object)
-    for fact in (es == 0, pop == 1, low < high):
-        code = 2 * code + fact
-    for a in t:
-        for fact in (es == a, (es & ~a) == 0, (a & ~es) == 0,
-                     low < high[a], low[a] < high):
-            code = 2 * code + fact
-    return code
+def _codes(model: FiniteModel, t: tuple[int, ...],
+           codes: np.ndarray | None = None) -> np.ndarray:
+    """Each element e's facts against t, extending codes, e's facts against
+    the entries before t (by default: e = ⊥, At(e), e ⊑ e).  An entry c
+    appends e = c, e ⊆ c, c ⊆ e, e ⊑ c, c ⊑ e; the ⊥-variant atoms reduce to
+    the unary facts (e ⊆ ⊥ iff e = ⊥, ⊥ ⊆ e always, ⊑ and At with ⊥ never)."""
+    es, _, lo, hi, pop = _tables(model.n)
+    if codes is None:
+        codes = (es == 0) * 4 + (pop == 1) * 2 + (lo < hi)
+    for c in t:
+        # ⊥'s code is the largest (e = ⊥ leads): past 12 entries, Python ints
+        if codes.dtype != object and codes[0] >> 58:
+            codes = codes.astype(object)
+        codes = (codes * 32 + (es == c) * 16 + ((es & ~c) == 0) * 8
+                 + ((c & ~es) == 0) * 4 + (lo < hi[c]) * 2 + (lo[c] < hi))
+    return codes
 
 
 def atomic_agreement(left: FiniteModel, a_tuple, right: FiniteModel,
@@ -75,8 +81,9 @@ def atomic_agreement(left: FiniteModel, a_tuple, right: FiniteModel,
     for model, t in ((left, a_tuple), (right, b_tuple)):
         if not all(0 <= e < 1 << model.n for e in t):
             raise ValueError(f"tuple {t} leaves the universe of {model}")
-    return all(_codes(left, a_tuple[:i])[a] == _codes(right, b_tuple[:i])[b]
-               for i, (a, b) in enumerate(zip(a_tuple, b_tuple)))
+    # each entry's code against the whole tuple holds its facts with the others
+    codes = _codes(left, a_tuple), _codes(right, b_tuple)
+    return all(codes[0][a] == codes[1][b] for a, b in zip(a_tuple, b_tuple))
 
 
 @functools.cache
@@ -101,11 +108,8 @@ class _Solver:
 
     def __init__(self, left: FiniteModel, right: FiniteModel, rounds: int,
                  budget: int):
-        self.models = (left, right)
-        self.game = (rounds, left.n, right.n)
-        self.budget = budget
-        self.spent = 0
-        self.memo: dict[tuple, object] = {}
+        self.models, self.game = (left, right), (rounds, left.n, right.n)
+        self.budget, self.spent, self.memo = budget, 0, {}
 
     def _charge(self, work: int) -> None:
         self.spent += work
@@ -116,14 +120,17 @@ class _Solver:
                 f"candidate answers exceeded ({k} rounds on {m} and {n} atoms)")
 
     def duplicator_wins(self, a: tuple[int, ...], b: tuple[int, ...],
-                        rounds: int) -> bool:
+                        rounds: int, parents: tuple | None = None) -> bool:
+        """Does Duplicator win from the agreeing position (a, b)?  A memo miss
+        extends parents, the codes against a[:-1] and b[:-1]."""
+        parents = parents or (*map(_codes, self.models, (a[:-1], b[:-1])),)
         if self.models[0].n == self.models[1].n and a == b:
             return True
         if rounds == 1:
-            return self._entry((0, a)) == self._entry((1, b))
-        return self._entry((a, b, rounds))
+            return self._entry((0, a), parents) == self._entry((1, b), parents)
+        return self._entry((a, b, rounds), parents)
 
-    def _entry(self, key: tuple):
+    def _entry(self, key: tuple, parents: tuple):
         """The memo entry for a position (a, b, rounds), its verdict, or for
         (side, t), the set of codes that side realizes against t."""
         hit = self.memo.get(key)
@@ -131,36 +138,39 @@ class _Solver:
             self._charge(1)
             if len(key) == 2:
                 side, t = key
-                hit = tuple(np.unique(_codes(self.models[side], t)).tolist())
+                codes = _codes(self.models[side], t[-1:], parents[side])
+                hit = tuple(np.unique(codes).tolist())
             else:
-                hit = self._search(*key)
+                a, b, rounds = key
+                hit = self._search(a, b, rounds, *map(
+                    _codes, self.models, (a[-1:], b[-1:]), parents))
             self.memo[key] = hit
         return hit
 
-    def _search(self, a: tuple[int, ...], b: tuple[int, ...],
-                rounds: int) -> bool:
-        """Spoiler picks every left element, then every right one;
-        Duplicator tries the agreeing answers in ascending order."""
-        left, right = _codes(self.models[0], a), _codes(self.models[1], b)
-        rest = rounds - 1
+    def _search(self, a: tuple[int, ...], b: tuple[int, ...], rounds: int,
+                left: np.ndarray, right: np.ndarray) -> bool:
+        """Spoiler picks each left element, then each right one, save ⊥ and
+        his own entries; Duplicator tries agreeing answers, smallest first."""
+        wins, rest, up = self.duplicator_wins, rounds - 1, (left, right)
 
         def answers(codes, code):
             found = np.flatnonzero(codes == code).tolist()
             self._charge(len(found))
             return found
 
-        return (all(any(self.duplicator_wins(a + (c,), b + (d,), rest)
+        skip_a, skip_b = {0, *a}, {0, *b}
+        return (all(any(wins(a + (c,), b + (d,), rest, up)
                         for d in answers(right, code))
-                    for c, code in enumerate(left))
-                and all(any(self.duplicator_wins(a + (d,), b + (c,), rest)
+                    for c, code in enumerate(left.tolist()) if c not in skip_a)
+                and all(any(wins(a + (d,), b + (c,), rest, up)
                             for d in answers(left, code))
-                        for c, code in enumerate(right)))
+                        for c, code in enumerate(right.tolist())
+                        if c not in skip_b))
 
 
 def ef_winner(left: FiniteModel, right: FiniteModel, k: int, *,
               memo_budget: int = DEFAULT_MEMO_BUDGET) -> str:
-    """Winner of the k-round game with best play, "Spoiler" or
-    "Duplicator"."""
+    """Winner of the k-round game with best play, SPOILER or DUPLICATOR."""
     if k < 0:
         raise ValueError("round count must be a natural")
     if left.n > _MAX_ATOMS or right.n > _MAX_ATOMS:

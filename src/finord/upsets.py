@@ -76,7 +76,11 @@ class UPSet:
     def canonicalize(self) -> "UPSet":
         """Minimal period (a divisor of the current one), then minimal threshold."""
         d, res = self.period, self.residues
-        for e in _divisors(d):
+        # the least period p puts min(res) + p in res, so p is a difference
+        # r - min(res) that divides d, or else d: at most |res| trials
+        low = min(res, default=0)
+        steps = {r - low for r in res if r > low and d % (r - low) == 0}
+        for e in sorted(steps):
             if {(k + e) % d for k in res} == res:
                 d, res = e, frozenset(k % e for k in res)
                 break
@@ -110,19 +114,6 @@ class UPSet:
 
     def difference(self, other: "UPSet") -> "UPSet":
         return _pointwise("difference", self, other, lambda p, q: p and not q)
-
-
-def _divisors(d: int) -> Iterable[int]:
-    """The divisors of d in ascending order, by trial division up to the
-    square root: the small ones as they are found, then their cofactors."""
-    large, e = [], 1
-    while e * e <= d:
-        if d % e == 0:
-            yield e
-            if e * e < d:
-                large.append(d // e)
-        e += 1
-    yield from reversed(large)
 
 
 def same_set(a: UPSet, b: UPSet) -> bool:

@@ -1,5 +1,6 @@
 """Round-limited comparison games between two finite models."""
 
+import functools
 import random
 
 import pytest
@@ -119,6 +120,9 @@ def test_atomic_agreement():
     middle = (4,) * 18
     assert atomic_agreement(m3, (1,) + middle + (2,),
                             m3, (1,) + middle + (1,)) is False
+    # an atom and ⊥, 13 times over: only At and = ⊥, the top bits of 68-bit
+    # codes, tell these apart
+    assert atomic_agreement(m2, (1,) * 13, m2, (0,) * 13) is False
 
 
 def _plain_agreement(left, a_tuple, right, b_tuple):
@@ -234,6 +238,59 @@ def test_ef_equiv_matches_naive_minimax(k, top):
             assert ef_equiv(m, n, k) is want, (m, n, k)
 
 
+def _oracle(left, right):
+    """Memoized minimax over every pick and every answer, tuples compared by
+    _plain_agreement: no codes and no pruning."""
+    @functools.cache
+    def wins(a, b, rounds):
+        if not _plain_agreement(left, a, right, b):
+            return False
+        return rounds == 0 or (
+            all(any(wins(a + (c,), b + (d,), rounds - 1)
+                    for d in right.universe()) for c in left.universe())
+            and all(any(wins(a + (d,), b + (c,), rounds - 1)
+                        for d in left.universe()) for c in right.universe()))
+    return wins
+
+
+def _seeded_positions():
+    """Seeded agreeing starts whose tuples draw ⊥ and earlier entries often:
+    1 round left on up to 4 atoms, 2 rounds left on up to 3 and 4."""
+    rng = random.Random(7)
+    for rounds, top, count in ((1, 4, 150), (2, 3, 150), (2, 4, 20)):
+        for _ in range(count):
+            left = FiniteModel(rng.randint(1, top))
+            right = FiniteModel(rng.randint(1, top))
+            a, b = (), ()
+            for _ in range(rng.randint(1, 3)):
+                c = rng.choice([0, *a] + [rng.randrange(1 << left.n)] * 2)
+                fits = [d for d in right.universe()
+                        if _plain_agreement(left, a + (c,), right, b + (d,))]
+                if not fits:
+                    break
+                a, b = a + (c,), b + (rng.choice(fits),)
+            yield left, a, right, b, rounds
+
+
+def test_solver_matches_oracle_at_every_position():
+    # the solver answers from one round up; ef_winner never asks it for 0
+    for k in range(1, 4):
+        for m in range(4):
+            for n in range(4):
+                left, right = FiniteModel(m), FiniteModel(n)
+                won = _Solver(left, right, k, DEFAULT_MEMO_BUDGET
+                              ).duplicator_wins((), (), k)
+                assert won is _oracle(left, right)((), (), k), (m, n, k)
+    dominated = 0
+    for left, a, right, b, rounds in _seeded_positions():
+        assert atomic_agreement(left, a, right, b)
+        dominated += 0 in a or len(set(a)) < len(a)
+        won = _Solver(left, right, rounds, DEFAULT_MEMO_BUDGET
+                      ).duplicator_wins(a, b, rounds)
+        assert won is _oracle(left, right)(a, b, rounds), (left, a, right, b)
+    assert dominated > 100
+
+
 def test_round_count_validation():
     with pytest.raises(ValueError):
         ef_winner(FiniteModel(1), FiniteModel(1), -1)
@@ -260,23 +317,30 @@ def test_atom_limit(capsys):
 
 
 def test_memo_budget_counts_code_sets():
-    # 2 positions, 6 code sets compared with one round left, and 5 candidate
-    # answers: without the code sets the search would spend 7.  ef_winner
+    # 4 positions, 4 code sets compared with one round left, and 6 candidate
+    # answers: without the code sets the search would spend 10.  ef_winner
     # answers this game before any search (3 rounds exceed 2 atoms), so the
     # search runs on its own
     left, right = FiniteModel(2), FiniteModel(3)
-    with pytest.raises(ResourceLimitError):
-        _Solver(left, right, 3, 12).duplicator_wins((), (), 3)
-    assert not _Solver(left, right, 3, 13).duplicator_wins((), (), 3)
+    with pytest.raises(ResourceLimitError) as info:
+        _Solver(left, right, 3, 13).duplicator_wins((), (), 3)
+    for part in ("budget of 13", "3 rounds", "2 and 3 atoms"):
+        assert part in str(info.value)
+    solver = _Solver(left, right, 3, 14)
+    assert not solver.duplicator_wins((), (), 3)
+    assert solver.spent == 14 and len(solver.memo) == 8
     assert ef_winner(left, right, 3, memo_budget=0) == SPOILER
 
 
 def test_memo_budget_counts_candidate_answers():
-    # 50 memo entries settle this game, but the search also charges every
+    # 20 memo entries settle this game, but the search also charges every
     # Spoiler pick its number of candidate answers
     left, right = FiniteModel(4), FiniteModel(5)
     with pytest.raises(ResourceLimitError) as info:
-        ef_winner(left, right, 3, memo_budget=50)
-    for part in ("budget of 50", "3 rounds", "4 and 5 atoms"):
+        ef_winner(left, right, 3, memo_budget=20)
+    for part in ("budget of 20", "3 rounds", "4 and 5 atoms"):
         assert part in str(info.value)
-    assert ef_winner(left, right, 3, memo_budget=382) == SPOILER
+    assert ef_winner(left, right, 3, memo_budget=54) == SPOILER
+    solver = _Solver(left, right, 3, 54)
+    assert not solver.duplicator_wins((), (), 3)
+    assert len(solver.memo) == 20

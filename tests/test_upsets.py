@@ -9,7 +9,6 @@ from finord import (NormalFormDescriptor, ResourceLimitError, UPSet,
                     brute_force_oracle, format_upset, from_normal_form,
                     minkowski_sum, minkowski_validity_bound, parse_upset,
                     same_set, to_normal_form)
-from finord.upsets import _divisors
 
 
 def _random_upset(rng, max_n=6, max_d=6):
@@ -129,15 +128,31 @@ def test_canonicalize_huge_threshold():
     assert s.canonicalize() == UPSet(big - 1, 1, frozenset(), frozenset([0]))
 
 
+def _least_period(residues, d):
+    """The least e dividing d that maps the residues onto themselves."""
+    return next(e for e in range(1, d + 1) if d % e == 0
+                and {(r + e) % d for r in residues} == set(residues))
+
+
 def test_canonicalize_huge_period():
-    # only the divisors of the period are tried, found by trial division up
-    # to its square root, smallest first
-    assert [list(_divisors(d)) for d in range(1, 200)] == [
-        [e for e in range(1, d + 1) if d % e == 0] for d in range(1, 200)]
-    far = parse_upset("UP(init={};N=0;d=1000000000000;res={0})")
-    started = time.perf_counter()
-    assert far.canonicalize() == far
-    assert time.perf_counter() - started < 1
+    # only the differences r - min(residues) that divide the period are
+    # tried, so the time follows the residues, not the period
+    rng = random.Random(5)
+    for _ in range(2000):
+        # residues repeating with a random divisor of d, so that the least
+        # period ranges from 1 to d
+        d = rng.randrange(1, 61)
+        step = rng.choice([e for e in range(1, d + 1) if d % e == 0])
+        kept = {r for r in range(step) if rng.random() < 0.4}
+        res = frozenset(r for r in range(d) if r % step in kept)
+        s = UPSet(rng.randrange(3), d, frozenset(), res)
+        want = _least_period(res, d) if res else 1
+        assert s.canonicalize().period == want, s
+    for k in (12, 18):
+        far = parse_upset(f"UP(init={{}};N=0;d={10 ** k};res={{0}})")
+        started = time.perf_counter()
+        assert far.canonicalize() == far
+        assert time.perf_counter() - started < 1
     s = UPSet(0, 10 ** 12, frozenset(), frozenset({0, 5 * 10 ** 11}))
     assert s.canonicalize() == UPSet(0, 5 * 10 ** 11, frozenset(),
                                      frozenset({0}))
